@@ -458,35 +458,73 @@ pub fn check_schedule_races(
 mod tests {
     use super::*;
     use hetero_graph::partition::PartitionPlan;
-    use heterollm::trace::ConcurrencyRecorder;
+    use heterollm::trace::{EngineEvent, KernelName};
 
     fn ids(diags: &[Diagnostic]) -> Vec<&str> {
         diags.iter().map(|d| d.rule_id.as_str()).collect()
     }
 
+    const M: SyncMechanism = SyncMechanism::Fast;
+
+    fn kernel(backend: Backend) -> EngineEvent {
+        EngineEvent::Kernel {
+            backend,
+            name: KernelName::Static("k"),
+            out_bytes: 4096,
+            mechanism: M,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+        }
+    }
+
+    fn switch(from: Backend, to: Backend) -> EngineEvent {
+        EngineEvent::Switch {
+            from,
+            to,
+            mechanism: M,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+        }
+    }
+
+    fn parallel() -> EngineEvent {
+        EngineEvent::Parallel {
+            gpu: KernelName::Static("g"),
+            npu: KernelName::Static("n"),
+            gpu_bytes: 4096,
+            npu_bytes: 4096,
+            mechanism: M,
+            start: SimTime::ZERO,
+            gpu_end: SimTime::ZERO,
+            npu_end: SimTime::ZERO,
+            end: SimTime::ZERO,
+        }
+    }
+
     #[test]
-    fn recorder_serial_and_switch_logs_are_clean() {
-        let mut r = ConcurrencyRecorder::new();
-        let m = SyncMechanism::Fast;
-        r.serial_kernel(Backend::Gpu, 4096, m, SimTime::ZERO);
-        r.serial_kernel(Backend::Gpu, 4096, m, SimTime::ZERO);
-        r.switch(Backend::Npu, m, SimTime::ZERO);
-        r.serial_kernel(Backend::Npu, 4096, m, SimTime::ZERO);
-        r.switch(Backend::Gpu, m, SimTime::ZERO);
-        r.serial_kernel(Backend::Gpu, 4096, m, SimTime::ZERO);
-        let diags = check_log(&r.finish(), "test");
+    fn serial_and_switch_logs_are_clean() {
+        let (gpu, npu) = (Backend::Gpu, Backend::Npu);
+        let events = [
+            kernel(gpu),
+            kernel(gpu),
+            switch(gpu, npu),
+            kernel(npu),
+            switch(npu, gpu),
+            kernel(gpu),
+        ];
+        let diags = check_log(&ConcurrencyLog::from_events(&events), "test");
         assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
-    fn recorder_parallel_sections_are_clean() {
-        let mut r = ConcurrencyRecorder::new();
-        let m = SyncMechanism::Fast;
-        r.serial_kernel(Backend::Gpu, 4096, m, SimTime::ZERO);
-        r.parallel_section(4096, 4096, m, SimTime::ZERO);
-        r.parallel_section(4096, 4096, m, SimTime::ZERO);
-        r.serial_kernel(Backend::Gpu, 4096, m, SimTime::ZERO);
-        let diags = check_log(&r.finish(), "test");
+    fn parallel_sections_are_clean() {
+        let events = [
+            kernel(Backend::Gpu),
+            parallel(),
+            parallel(),
+            kernel(Backend::Gpu),
+        ];
+        let diags = check_log(&ConcurrencyLog::from_events(&events), "test");
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -494,12 +532,8 @@ mod tests {
     fn skipped_switch_wait_is_a_data_race() {
         // A GPU kernel's output consumed by the NPU *without* the
         // backend-switch wait: the cross-actor read is unordered.
-        let mut r = ConcurrencyRecorder::new();
-        let m = SyncMechanism::Fast;
-        r.serial_kernel(Backend::Gpu, 4096, m, SimTime::ZERO);
-        // No r.switch(Backend::Npu, ..) here.
-        r.serial_kernel(Backend::Npu, 4096, m, SimTime::ZERO);
-        let diags = check_log(&r.finish(), "test");
+        let events = [kernel(Backend::Gpu), kernel(Backend::Npu)];
+        let diags = check_log(&ConcurrencyLog::from_events(&events), "test");
         assert!(ids(&diags).contains(&rules::DATA_RACE), "{diags:?}");
     }
 

@@ -13,6 +13,7 @@ use hetero_soc::{SimTime, SocConfig};
 use hetero_solver::{Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 use heterollm::runtime::{conversation_traffic, ControllerConfig, RuntimeController, SloPolicy};
+use heterollm::trace::ConcurrencyLog;
 use heterollm::{EngineKind, ModelConfig};
 
 use crate::diag::Report;
@@ -144,16 +145,15 @@ pub fn race_lint_models(models: &[ModelConfig], mechanism: SyncMechanism, seq: u
     for model in models {
         for kind in RACE_SWEEP_ENGINES {
             let mut engine = kind.build(model, mechanism);
-            engine.enable_concurrency_log();
+            engine.enable_events();
             engine
                 .try_prefill(seq)
                 .expect("race sweep prefill must not fail");
             engine
                 .try_decode(seq, 2)
                 .expect("race sweep decode must not fail");
-            let log = engine
-                .take_concurrency_log()
-                .expect("recording was enabled");
+            let events = engine.take_events().expect("recording was enabled");
+            let log = ConcurrencyLog::from_events(&events);
             let location = format!("{}/{}[m={seq}]", model.name, engine.name());
             report.extend(race::check_log(&log, &location));
         }

@@ -128,7 +128,7 @@ impl InferenceSession {
         prompt_len: usize,
         decode_tokens: usize,
     ) -> Result<(SessionReport, Timeline), EngineError> {
-        self.engine.enable_timeline();
+        self.engine.enable_events();
         let phase_start = self.engine.soc().clock();
         let prefill = self.engine.try_prefill(prompt_len)?;
         let prefill_end = self.engine.soc().clock();
@@ -136,7 +136,7 @@ impl InferenceSession {
         let decode_end = self.engine.soc().clock();
         let power = self.engine.finish();
 
-        let mut tl = self.engine.take_timeline().unwrap_or_default();
+        let mut tl = Timeline::from_events(&self.engine.take_events().unwrap_or_default());
         tl.push_span(
             Track::Cpu,
             SpanKind::Phase,

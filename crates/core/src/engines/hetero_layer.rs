@@ -15,14 +15,11 @@ use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{Backend, SimTime, Soc};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel, Engine};
+use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel, run_serial_step, Engine};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
-use crate::obs::{Timeline, TimelineRecorder};
 use crate::report::PhaseReport;
-use crate::trace::{
-    decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, OpRole, PhaseTrace,
-};
+use crate::trace::{decode_trace, prefill_trace, EngineEvent, KernelName, OpRole, PhaseTrace};
 
 /// How the NPU handles sequence lengths without a compiled graph
 /// (§5.2.2's baselines).
@@ -59,8 +56,8 @@ pub(crate) struct RoutedCore {
     /// convention.
     pub int8_matmuls: bool,
     current: Option<Backend>,
-    recorder: Option<ConcurrencyRecorder>,
-    timeline: Option<TimelineRecorder>,
+    /// The event stream, while recording is armed.
+    pub events: Option<Vec<EngineEvent>>,
 }
 
 impl RoutedCore {
@@ -94,29 +91,8 @@ impl RoutedCore {
             aux_backend: Backend::Gpu,
             int8_matmuls: false,
             current: None,
-            recorder: None,
-            timeline: None,
+            events: None,
         }
-    }
-
-    /// Start (or reset) concurrency-event recording.
-    pub(crate) fn enable_concurrency_log(&mut self) {
-        self.recorder = Some(ConcurrencyRecorder::new());
-    }
-
-    /// Take the recorded log, ending recording.
-    pub(crate) fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.recorder.take().map(ConcurrencyRecorder::finish)
-    }
-
-    /// Start (or reset) span-timeline recording.
-    pub(crate) fn enable_timeline(&mut self) {
-        self.timeline = Some(TimelineRecorder::new());
-    }
-
-    /// Take the recorded timeline, ending recording.
-    pub(crate) fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take().map(TimelineRecorder::finish)
     }
 
     fn npu_matmul_kernel(&self, shape: MatmulShape) -> hetero_soc::KernelDesc {
@@ -135,29 +111,14 @@ impl RoutedCore {
     }
 
     fn run_on(&mut self, backend: Backend, name: &'static str, kernel: &hetero_soc::KernelDesc) {
-        if self.current != Some(backend) {
-            if let Some(from) = self.current {
-                let switch_start = self.soc.clock();
-                self.soc.backend_switch();
-                let mech = self.soc.config().sync.mechanism;
-                if let Some(rec) = &mut self.recorder {
-                    rec.switch(backend, mech, self.soc.clock());
-                }
-                if let Some(tl) = &mut self.timeline {
-                    tl.switch(from, backend, mech, switch_start, self.soc.clock());
-                }
-            }
-            self.current = Some(backend);
-        }
-        if let Some(rec) = &mut self.recorder {
-            let mech = self.soc.config().sync.mechanism;
-            rec.serial_kernel(backend, kernel.bytes(), mech, self.soc.clock());
-        }
-        let kernel_start = self.soc.clock();
-        self.soc.run_serial(backend, std::slice::from_ref(kernel));
-        if let Some(tl) = &mut self.timeline {
-            tl.kernel_named(backend, name, kernel_start, self.soc.clock());
-        }
+        run_serial_step(
+            &mut self.soc,
+            &mut self.current,
+            &mut self.events,
+            backend,
+            KernelName::Static(name),
+            kernel,
+        );
     }
 
     /// The NPU chunk sizes covering `m` rows under this strategy, plus
@@ -171,8 +132,8 @@ impl RoutedCore {
             MisalignStrategy::OnlinePrepare => {
                 let hit = self.cache.has(m);
                 let prep = self.cache.ensure(m);
-                if let Some(tl) = &mut self.timeline {
-                    tl.graph_lookup(hit || m == 0);
+                if let Some(ev) = &mut self.events {
+                    ev.push(EngineEvent::GraphLookup { hit: hit || m == 0 });
                 }
                 (vec![m], prep)
             }
@@ -190,8 +151,12 @@ impl RoutedCore {
         // Graph generation (Online-prepare) delays the whole request.
         self.soc.advance(prep);
         if prep > SimTime::ZERO {
-            if let Some(tl) = &mut self.timeline {
-                tl.graph_compile(prompt_len, start, self.soc.clock());
+            if let Some(ev) = &mut self.events {
+                ev.push(EngineEvent::GraphCompile {
+                    m: prompt_len,
+                    start,
+                    end: self.soc.clock(),
+                });
             }
         }
 
@@ -308,20 +273,12 @@ impl Engine for HeteroLayerEngine {
         self.core.run_decode(prompt_len, n_tokens)
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.core.enable_concurrency_log();
+    fn enable_events(&mut self) {
+        self.core.events = Some(Vec::new());
     }
 
-    fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.core.take_concurrency_log()
-    }
-
-    fn enable_timeline(&mut self) {
-        self.core.enable_timeline();
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        self.core.take_timeline()
+    fn take_events(&mut self) -> Option<Vec<EngineEvent>> {
+        self.core.events.take()
     }
 
     fn soc(&self) -> &Soc {

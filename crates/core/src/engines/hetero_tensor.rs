@@ -14,12 +14,11 @@ use hetero_soc::{Backend, KernelDesc, Soc};
 use hetero_solver::{PartitionPlan, PlanTable, Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel, Engine};
+use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel, run_serial_step, Engine};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
-use crate::obs::{Timeline, TimelineRecorder};
 use crate::report::PhaseReport;
-use crate::trace::{decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, OpRole};
+use crate::trace::{decode_trace, prefill_trace, EngineEvent, KernelName, OpRole};
 
 /// HeteroLLM with tensor-level heterogeneous execution.
 ///
@@ -36,8 +35,7 @@ pub struct HeteroTensorEngine<P: CostProvider = RealExecProvider> {
     prefill_table: PlanTable,
     decode_table: PlanTable,
     current: Option<Backend>,
-    recorder: Option<ConcurrencyRecorder>,
-    timeline: Option<TimelineRecorder>,
+    events: Option<Vec<EngineEvent>>,
 }
 
 impl HeteroTensorEngine<RealExecProvider> {
@@ -177,63 +175,42 @@ impl<P: CostProvider + Clone> HeteroTensorEngine<P> {
             prefill_table: PlanTable::new(),
             decode_table: PlanTable::new(),
             current: None,
-            recorder: None,
-            timeline: None,
+            events: None,
         }
     }
 }
 
 impl<P: CostProvider> HeteroTensorEngine<P> {
     fn run_on(&mut self, backend: Backend, kernel: &KernelDesc) {
-        if self.current != Some(backend) {
-            if let Some(from) = self.current {
-                let switch_start = self.soc.clock();
-                self.soc.backend_switch();
-                let mech = self.soc.config().sync.mechanism;
-                if let Some(rec) = &mut self.recorder {
-                    rec.switch(backend, mech, self.soc.clock());
-                }
-                if let Some(tl) = &mut self.timeline {
-                    tl.switch(from, backend, mech, switch_start, self.soc.clock());
-                }
-            }
-            self.current = Some(backend);
-        }
-        if let Some(rec) = &mut self.recorder {
-            let mech = self.soc.config().sync.mechanism;
-            rec.serial_kernel(backend, kernel.bytes(), mech, self.soc.clock());
-        }
-        let kernel_start = self.soc.clock();
-        self.soc.run_serial(backend, std::slice::from_ref(kernel));
-        if let Some(tl) = &mut self.timeline {
-            tl.kernel(backend, kernel, kernel_start, self.soc.clock());
-        }
+        run_serial_step(
+            &mut self.soc,
+            &mut self.current,
+            &mut self.events,
+            backend,
+            KernelName::of(kernel),
+            kernel,
+        );
     }
 
     fn run_parallel(&mut self, gpu: &[KernelDesc], npu: &[KernelDesc], dominance: Dominance) {
-        if let Some(rec) = &mut self.recorder {
-            let mech = self.soc.config().sync.mechanism;
-            let gpu_bytes: u64 = gpu.iter().map(KernelDesc::bytes).sum();
-            let npu_bytes: u64 = npu.iter().map(KernelDesc::bytes).sum();
-            rec.parallel_section(gpu_bytes, npu_bytes, mech, self.soc.clock());
-        }
         let start = self.soc.clock();
         let outcome = self.soc.run_parallel(gpu, npu, dominance);
-        if let Some(tl) = &mut self.timeline {
-            let mech = self.soc.config().sync.mechanism;
-            let side_name = |ks: &[KernelDesc]| match ks {
-                [k] => crate::obs::timeline::kernel_span_name(k),
-                ks => format!("batch×{}", ks.len()),
+        if let Some(ev) = &mut self.events {
+            let side = |ks: &[KernelDesc]| match ks {
+                [k] => KernelName::of(k),
+                ks => KernelName::Batch(ks.len()),
             };
-            tl.parallel_section(
-                &side_name(gpu),
-                &side_name(npu),
-                mech,
+            ev.push(EngineEvent::Parallel {
+                gpu: side(gpu),
+                npu: side(npu),
+                gpu_bytes: gpu.iter().map(KernelDesc::bytes).sum(),
+                npu_bytes: npu.iter().map(KernelDesc::bytes).sum(),
+                mechanism: self.soc.config().sync.mechanism,
                 start,
-                start + outcome.a_finish,
-                start + outcome.b_finish,
-                self.soc.clock(),
-            );
+                gpu_end: start + outcome.a_finish,
+                npu_end: start + outcome.b_finish,
+                end: self.soc.clock(),
+            });
         }
         // Both backends just ran; the GPU ends the section primed.
         self.current = Some(Backend::Gpu);
@@ -381,20 +358,12 @@ impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
         })
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.recorder = Some(ConcurrencyRecorder::new());
+    fn enable_events(&mut self) {
+        self.events = Some(Vec::new());
     }
 
-    fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.recorder.take().map(ConcurrencyRecorder::finish)
-    }
-
-    fn enable_timeline(&mut self) {
-        self.timeline = Some(TimelineRecorder::new());
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take().map(TimelineRecorder::finish)
+    fn take_events(&mut self) -> Option<Vec<EngineEvent>> {
+        self.events.take()
     }
 
     fn soc(&self) -> &Soc {

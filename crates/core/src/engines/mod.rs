@@ -23,12 +23,12 @@ use ::hetero_tensor::shape::MatmulShape;
 use ::hetero_tensor::DType;
 use hetero_soc::power::PowerReport;
 use hetero_soc::sync::SyncMechanism;
-use hetero_soc::{calib, KernelDesc, Soc, SocConfig};
+use hetero_soc::{calib, Backend, KernelDesc, Soc, SocConfig};
 
 use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::report::PhaseReport;
-use crate::trace::ConcurrencyLog;
+use crate::trace::{EngineEvent, KernelName};
 
 /// A schedulable inference engine (timing mode).
 pub trait Engine {
@@ -78,29 +78,19 @@ pub trait Engine {
         }
     }
 
-    /// Start recording a concurrency event log (buffer accesses, queue
-    /// submissions, rendezvous signal/wait) for race analysis. Engines
-    /// without cross-backend concurrency may record nothing; calling
-    /// again resets any partial log.
-    fn enable_concurrency_log(&mut self) {}
+    /// Start recording the engine event stream: every serial kernel,
+    /// backend switch, parallel section, graph compile and graph lookup
+    /// ([`EngineEvent`]) against the SoC's simulated clock. The race
+    /// detector's [`crate::trace::ConcurrencyLog`] and the
+    /// observability layer's [`crate::obs::Timeline`] are both
+    /// projections of this one stream. Calling again discards any
+    /// partial stream.
+    fn enable_events(&mut self) {}
 
-    /// Take the concurrency log recorded since
-    /// [`Engine::enable_concurrency_log`], ending recording. Returns
-    /// `None` if recording was never enabled (or is unsupported).
-    fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        None
-    }
-
-    /// Start recording a span timeline (kernel submit/complete, sync
-    /// waits, graph compiles) against the SoC's simulated clock, for
-    /// the observability layer ([`crate::obs`]). Calling again resets
-    /// any partial timeline.
-    fn enable_timeline(&mut self) {}
-
-    /// Take the timeline recorded since [`Engine::enable_timeline`],
-    /// ending recording. Returns `None` if recording was never enabled
-    /// (or is unsupported).
-    fn take_timeline(&mut self) -> Option<crate::obs::Timeline> {
+    /// Take the events recorded since [`Engine::enable_events`], ending
+    /// recording. Returns `None` if recording was never enabled (or is
+    /// unsupported).
+    fn take_events(&mut self) -> Option<Vec<EngineEvent>> {
         None
     }
 
@@ -261,6 +251,48 @@ pub fn npu_kernel(shape: MatmulShape) -> KernelDesc {
 /// INT4 weights dequantized in-kernel).
 pub fn gpu_kernel(shape: MatmulShape) -> KernelDesc {
     KernelDesc::matmul_w4a16(shape)
+}
+
+/// Run `kernel` alone on `backend`, first paying a backend switch if
+/// the previous kernel ran elsewhere, and append both to `events` when
+/// recording is armed — the serial step every engine shares.
+pub(crate) fn run_serial_step(
+    soc: &mut Soc,
+    current: &mut Option<Backend>,
+    events: &mut Option<Vec<EngineEvent>>,
+    backend: Backend,
+    name: KernelName,
+    kernel: &KernelDesc,
+) {
+    let mechanism = soc.config().sync.mechanism;
+    if *current != Some(backend) {
+        if let Some(from) = *current {
+            let start = soc.clock();
+            soc.backend_switch();
+            if let Some(ev) = events {
+                ev.push(EngineEvent::Switch {
+                    from,
+                    to: backend,
+                    mechanism,
+                    start,
+                    end: soc.clock(),
+                });
+            }
+        }
+        *current = Some(backend);
+    }
+    let start = soc.clock();
+    soc.run_serial(backend, std::slice::from_ref(kernel));
+    if let Some(ev) = events {
+        ev.push(EngineEvent::Kernel {
+            backend,
+            name,
+            out_bytes: kernel.bytes(),
+            mechanism,
+            start,
+            end: soc.clock(),
+        });
+    }
 }
 
 /// Decode bandwidth tier helper: clamp the CPU's achievable bandwidth

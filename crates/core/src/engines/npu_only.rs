@@ -61,20 +61,12 @@ impl Engine for NpuOnlyEngine {
         self.core.run_decode(prompt_len, n_tokens)
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.core.enable_concurrency_log();
+    fn enable_events(&mut self) {
+        self.core.events = Some(Vec::new());
     }
 
-    fn take_concurrency_log(&mut self) -> Option<crate::trace::ConcurrencyLog> {
-        self.core.take_concurrency_log()
-    }
-
-    fn enable_timeline(&mut self) {
-        self.core.enable_timeline();
-    }
-
-    fn take_timeline(&mut self) -> Option<crate::obs::Timeline> {
-        self.core.take_timeline()
+    fn take_events(&mut self) -> Option<Vec<crate::trace::EngineEvent>> {
+        self.core.events.take()
     }
 
     fn soc(&self) -> &Soc {

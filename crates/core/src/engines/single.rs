@@ -9,12 +9,11 @@
 use hetero_soc::gpu::GpuModel;
 use hetero_soc::{calib, Backend, Soc, SocConfig};
 
-use crate::engines::{llama_cpp_soc_config, Engine};
+use crate::engines::{llama_cpp_soc_config, run_serial_step, Engine};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
-use crate::obs::{Timeline, TimelineRecorder};
 use crate::report::PhaseReport;
-use crate::trace::{decode_trace, prefill_trace, ConcurrencyLog, ConcurrencyRecorder, PhaseTrace};
+use crate::trace::{decode_trace, prefill_trace, EngineEvent, KernelName, PhaseTrace};
 
 /// GPU kernel-quality tiers of the baseline frameworks (derived from
 /// the paper's relative results; see [`calib::engine_eff`]).
@@ -67,8 +66,7 @@ pub struct SingleBackendEngine {
     cfg: ModelConfig,
     backend: Backend,
     soc: Soc,
-    recorder: Option<ConcurrencyRecorder>,
-    timeline: Option<TimelineRecorder>,
+    events: Option<Vec<EngineEvent>>,
 }
 
 impl SingleBackendEngine {
@@ -81,8 +79,7 @@ impl SingleBackendEngine {
             cfg: model.clone(),
             backend: Backend::Gpu,
             soc: Soc::new(soc_cfg),
-            recorder: None,
-            timeline: None,
+            events: None,
         }
     }
 
@@ -95,23 +92,21 @@ impl SingleBackendEngine {
             cfg: model.clone(),
             backend: Backend::Cpu,
             soc,
-            recorder: None,
-            timeline: None,
+            events: None,
         }
     }
 
     fn run_trace(&mut self, trace: &PhaseTrace) {
-        let mech = self.soc.config().sync.mechanism;
         for op in trace.iter_all() {
-            if let Some(rec) = &mut self.recorder {
-                rec.serial_kernel(self.backend, op.kernel.bytes(), mech, self.soc.clock());
-            }
-            let start = self.soc.clock();
-            self.soc
-                .run_serial(self.backend, std::slice::from_ref(&op.kernel));
-            if let Some(tl) = &mut self.timeline {
-                tl.kernel_named(self.backend, op.op, start, self.soc.clock());
-            }
+            // Every kernel runs on the one backend: never a switch.
+            run_serial_step(
+                &mut self.soc,
+                &mut Some(self.backend),
+                &mut self.events,
+                self.backend,
+                KernelName::Static(op.op),
+                &op.kernel,
+            );
         }
     }
 }
@@ -151,20 +146,12 @@ impl Engine for SingleBackendEngine {
         })
     }
 
-    fn enable_concurrency_log(&mut self) {
-        self.recorder = Some(ConcurrencyRecorder::new());
+    fn enable_events(&mut self) {
+        self.events = Some(Vec::new());
     }
 
-    fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.recorder.take().map(ConcurrencyRecorder::finish)
-    }
-
-    fn enable_timeline(&mut self) {
-        self.timeline = Some(TimelineRecorder::new());
-    }
-
-    fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take().map(TimelineRecorder::finish)
+    fn take_events(&mut self) -> Option<Vec<EngineEvent>> {
+        self.events.take()
     }
 
     fn soc(&self) -> &Soc {

@@ -275,8 +275,8 @@ impl MetricsRegistry {
 
 #[cfg(test)]
 mod tests {
-    use super::super::timeline::TimelineRecorder;
     use super::*;
+    use crate::trace::{EngineEvent, KernelName};
     use hetero_soc::sync::SyncMechanism;
     use hetero_soc::Backend;
 
@@ -365,18 +365,27 @@ mod tests {
 
     #[test]
     fn from_timeline_derives_span_and_sync_metrics() {
-        let mut rec = TimelineRecorder::new();
-        rec.kernel_named(Backend::Gpu, "qkv", us(0), us(40));
-        rec.switch(
-            Backend::Gpu,
-            Backend::Npu,
-            SyncMechanism::Fast,
-            us(40),
-            us(43),
-        );
-        rec.kernel_named(Backend::Npu, "gate_up", us(43), us(90));
-        rec.graph_lookup(true);
-        let reg = MetricsRegistry::from_timeline(&rec.finish());
+        let kernel = |backend, name, start, end| EngineEvent::Kernel {
+            backend,
+            name: KernelName::Static(name),
+            out_bytes: 4096,
+            mechanism: SyncMechanism::Fast,
+            start,
+            end,
+        };
+        let events = [
+            kernel(Backend::Gpu, "qkv", us(0), us(40)),
+            EngineEvent::Switch {
+                from: Backend::Gpu,
+                to: Backend::Npu,
+                mechanism: SyncMechanism::Fast,
+                start: us(40),
+                end: us(43),
+            },
+            kernel(Backend::Npu, "gate_up", us(43), us(90)),
+            EngineEvent::GraphLookup { hit: true },
+        ];
+        let reg = MetricsRegistry::from_timeline(&Timeline::from_events(&events));
         assert_eq!(reg.counter("spans_gpu"), 1);
         assert_eq!(reg.counter("spans_npu"), 2); // kernel + switch wait
         assert_eq!(reg.counter("graph_hits"), 1);

@@ -9,12 +9,14 @@
 //!
 //! The layer has three parts:
 //!
-//! - [`Timeline`] / [`TimelineRecorder`]: spans (kernel execution,
-//!   sync waits, graph compiles, controller actions) on one track per
-//!   hardware unit ([`Track`]), plus flow edges across synchronization
-//!   points. Engines record through the same hook style as the
-//!   concurrency log (`enable_timeline` / `take_timeline` on
-//!   [`crate::engines::Engine`]).
+//! - [`Timeline`]: spans (kernel execution, sync waits, graph
+//!   compiles, controller actions) on one track per hardware unit
+//!   ([`Track`]), plus flow edges across synchronization points.
+//!   Engines record no timeline of their own: they record one
+//!   [`crate::trace::EngineEvent`] stream (`enable_events` /
+//!   `take_events` on [`crate::engines::Engine`]), and
+//!   [`Timeline::from_events`] projects it — the same stream the race
+//!   detector's [`crate::trace::ConcurrencyLog::from_events`] reads.
 //! - [`chrome::to_chrome_json`]: exports a timeline as Chrome
 //!   trace-event JSON loadable in Perfetto (`ui.perfetto.dev`), with
 //!   one process row per track and `s`/`f` flow arrows across sync
@@ -50,7 +52,7 @@ pub mod swimlane;
 pub mod timeline;
 
 pub use metrics::{Histogram, MetricCounter, MetricHistogram, MetricsRegistry, MetricsSnapshot};
-pub use timeline::{FlowEdge, Label, Span, SpanKind, Timeline, TimelineRecorder, Track};
+pub use timeline::{FlowEdge, Label, Span, SpanKind, Timeline, Track};
 
 #[allow(unused_imports)] // rustdoc link target
 use hetero_soc::SimTime;

@@ -1,4 +1,5 @@
-//! Span/flow timeline types and the engine-side recorder.
+//! Span/flow timeline types and their projection from the engine event
+//! stream.
 //!
 //! A [`Timeline`] is a flat list of closed spans on per-hardware-unit
 //! tracks plus flow edges across synchronization points, all stamped
@@ -8,19 +9,22 @@
 //! `hetero-analyze`'s `timeline` lint re-checks on the exported
 //! artifact.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::Arc;
 
 use hetero_soc::sync::SyncMechanism;
-use hetero_soc::{Backend, KernelDesc, OpKind, SimTime};
+use hetero_soc::{Backend, SimTime};
+
+use crate::trace::{EngineEvent, KernelName};
 
 /// A shared, immutable display label for spans and flows.
 ///
 /// Cloning a `Label` bumps a reference count instead of copying
 /// characters, so splicing per-request engine timelines into the
 /// controller-wide timeline ([`Timeline::append_shifted`]) is
-/// allocation-free per span, and [`TimelineRecorder`] hands the same
-/// interned kernel name to every span that repeats it rather than
+/// allocation-free per span, and [`Timeline::from_events`] hands the
+/// same interned kernel name to every span that repeats it rather than
 /// re-formatting and re-allocating per kernel launch — the dominant
 /// allocation on the observed-session hot path.
 ///
@@ -65,18 +69,6 @@ impl From<&str> for Label {
 impl From<String> for Label {
     fn from(s: String) -> Self {
         Self(Arc::from(s))
-    }
-}
-
-impl From<&String> for Label {
-    fn from(s: &String) -> Self {
-        Self(Arc::from(s.as_str()))
-    }
-}
-
-impl From<&Label> for Label {
-    fn from(l: &Label) -> Self {
-        l.clone()
     }
 }
 
@@ -273,7 +265,12 @@ impl Timeline {
 
     /// Bump the named counter by `n`.
     pub fn count(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// All spans, in recording order.
@@ -403,181 +400,116 @@ impl Timeline {
     }
 }
 
-/// Engine-side recorder: the timeline analog of
-/// [`crate::trace::ConcurrencyRecorder`]. Engines call it at the same
-/// hook points (serial kernels, backend switches, parallel sections)
-/// with SoC-clock readings taken before and after each action.
-///
-/// Label memoization: a decode loop launches the *same* kernels layer
-/// after layer, token after token, so the recorder interns every
-/// derived name ([`Label`]) keyed by what it was derived from (matmul
-/// shape, sync mechanism, compile bucket) and hands out O(1) clones —
-/// the formatted string is built once per distinct name per session,
-/// not once per span.
-#[derive(Debug, Default)]
-pub struct TimelineRecorder {
-    tl: Timeline,
-    matmul_labels: BTreeMap<(usize, usize, usize), Label>,
-    static_labels: BTreeMap<&'static str, Label>,
-    sync_labels: BTreeMap<(&'static str, &'static str), Label>,
-    compile_labels: BTreeMap<usize, Label>,
-}
-
-/// Display name of a kernel, derived from its descriptor.
-pub(crate) fn kernel_span_name(kernel: &KernelDesc) -> String {
-    match &kernel.op {
-        OpKind::Matmul { shape, .. } => format!("matmul[{}x{}x{}]", shape.m, shape.k, shape.n),
-        OpKind::MemBound { label, .. } => label.name().to_string(),
-        OpKind::HostCopy { .. } => "host_copy".to_string(),
+impl Timeline {
+    /// Project an engine event stream onto spans, flows and counters.
+    ///
+    /// A serial kernel becomes a kernel span on its backend's track; a
+    /// switch becomes a sync wait on the destination track with a flow
+    /// arrow across the sync edge; a parallel section becomes one
+    /// kernel span per side plus a rendezvous wait on the CPU track fed
+    /// by a flow from each side; a graph compile becomes a cache span
+    /// on the CPU track; lookups and switches/sections are counted.
+    pub fn from_events(events: &[EngineEvent]) -> Self {
+        let mut labels = Labels::default();
+        let mut tl = Self::new();
+        for e in events {
+            match *e {
+                EngineEvent::Kernel {
+                    backend,
+                    name,
+                    start,
+                    end,
+                    ..
+                } => {
+                    let name = labels.get(LabelKey::Kernel(name));
+                    tl.push_span(
+                        Track::from_backend(backend),
+                        SpanKind::Kernel,
+                        name,
+                        start,
+                        end,
+                    );
+                }
+                EngineEvent::Switch {
+                    from,
+                    to,
+                    mechanism,
+                    start,
+                    end,
+                } => {
+                    let name = labels.get(LabelKey::Sync("switch", mechanism));
+                    let (from, to) = (Track::from_backend(from), Track::from_backend(to));
+                    tl.push_span(to, SpanKind::Sync, name.clone(), start, end);
+                    tl.push_flow(name, from, start, to, end);
+                    tl.count("switches", 1);
+                }
+                EngineEvent::Parallel {
+                    gpu,
+                    npu,
+                    mechanism,
+                    start,
+                    gpu_end,
+                    npu_end,
+                    end,
+                    ..
+                } => {
+                    let gpu = labels.get(LabelKey::Kernel(gpu));
+                    let npu = labels.get(LabelKey::Kernel(npu));
+                    tl.push_span(Track::Gpu, SpanKind::Kernel, gpu, start, gpu_end);
+                    tl.push_span(Track::Npu, SpanKind::Kernel, npu, start, npu_end);
+                    let join = gpu_end.max(npu_end);
+                    let name = labels.get(LabelKey::Sync("rendezvous", mechanism));
+                    tl.push_span(Track::Cpu, SpanKind::Sync, name.clone(), join, end);
+                    tl.push_flow(name.clone(), Track::Gpu, gpu_end, Track::Cpu, join);
+                    tl.push_flow(name, Track::Npu, npu_end, Track::Cpu, join);
+                    tl.count("parallel_sections", 1);
+                }
+                EngineEvent::GraphCompile { m, start, end } => {
+                    let name = labels.get(LabelKey::Compile(m));
+                    tl.push_span(Track::Cpu, SpanKind::Cache, name, start, end);
+                }
+                EngineEvent::GraphLookup { hit } => {
+                    tl.count(if hit { "graph_hits" } else { "graph_misses" }, 1);
+                }
+            }
+        }
+        tl
     }
 }
 
-impl TimelineRecorder {
-    /// New recorder with an empty timeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// What a derived span/flow name is rendered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum LabelKey {
+    Kernel(KernelName),
+    /// `prefix:mechanism` (switch waits and rendezvous).
+    Sync(&'static str, SyncMechanism),
+    /// `graph_compile[m]`.
+    Compile(usize),
+}
 
-    /// The interned label for a kernel descriptor.
-    fn kernel_label(&mut self, kernel: &KernelDesc) -> Label {
-        match &kernel.op {
-            OpKind::Matmul { shape, .. } => self
-                .matmul_labels
-                .entry((shape.m, shape.k, shape.n))
-                .or_insert_with(|| Label::from(kernel_span_name(kernel)))
-                .clone(),
-            OpKind::MemBound { label, .. } => Self::intern(&mut self.static_labels, label.name()),
-            OpKind::HostCopy { .. } => Self::intern(&mut self.static_labels, "host_copy"),
+impl fmt::Display for LabelKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Kernel(name) => name.fmt(f),
+            Self::Sync(prefix, mechanism) => write!(f, "{prefix}:{}", mechanism.name()),
+            Self::Compile(m) => write!(f, "graph_compile[{m}]"),
         }
     }
+}
 
-    /// The interned `prefix:mechanism` label (switch/rendezvous).
-    fn sync_label(&mut self, prefix: &'static str, mechanism: SyncMechanism) -> Label {
-        self.sync_labels
-            .entry((prefix, mechanism.name()))
-            .or_insert_with(|| Label::from(format!("{prefix}:{}", mechanism.name())))
+/// Label memoization for one projection: a decode loop launches the
+/// *same* kernels layer after layer, token after token, so every
+/// derived name is formatted once per distinct key and then handed out
+/// as an O(1) [`Label`] clone, not re-formatted per span.
+#[derive(Debug, Default)]
+struct Labels(HashMap<LabelKey, Label>);
+
+impl Labels {
+    fn get(&mut self, key: LabelKey) -> Label {
+        self.0
+            .entry(key)
+            .or_insert_with(|| Label::from(key.to_string()))
             .clone()
-    }
-
-    fn intern(map: &mut BTreeMap<&'static str, Label>, s: &'static str) -> Label {
-        map.entry(s).or_insert_with(|| Label::from(s)).clone()
-    }
-
-    /// A serial kernel ran on `backend` over `[start, end]`.
-    pub fn kernel(&mut self, backend: Backend, kernel: &KernelDesc, start: SimTime, end: SimTime) {
-        let name = self.kernel_label(kernel);
-        let track = Track::from_backend(backend);
-        self.tl.push_span(track, SpanKind::Kernel, name, start, end);
-    }
-
-    /// A serial kernel with an explicit display name (trace-op label).
-    pub fn kernel_named(&mut self, backend: Backend, name: &str, start: SimTime, end: SimTime) {
-        let track = Track::from_backend(backend);
-        self.tl.push_span(track, SpanKind::Kernel, name, start, end);
-    }
-
-    /// A backend switch `from → to` paid `[start, end]` of sync cost.
-    /// The wait lands on the destination track; a flow arrow crosses
-    /// the sync edge.
-    pub fn switch(
-        &mut self,
-        from: Backend,
-        to: Backend,
-        mechanism: SyncMechanism,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let name = self.sync_label("switch", mechanism);
-        self.tl.push_span(
-            Track::from_backend(to),
-            SpanKind::Sync,
-            name.clone(),
-            start,
-            end,
-        );
-        self.tl.push_flow(
-            name,
-            Track::from_backend(from),
-            start,
-            Track::from_backend(to),
-            end,
-        );
-        self.tl.count("switches", 1);
-    }
-
-    /// A GPU∥NPU parallel section started at `start`; the GPU side
-    /// finished at `gpu_end`, the NPU side at `npu_end`, and the
-    /// rendezvous completed at `rendezvous_end`. Each side gets a
-    /// kernel span; the rendezvous wait lands on the CPU track with a
-    /// flow arrow from each producer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn parallel_section(
-        &mut self,
-        gpu_name: &str,
-        npu_name: &str,
-        mechanism: SyncMechanism,
-        start: SimTime,
-        gpu_end: SimTime,
-        npu_end: SimTime,
-        rendezvous_end: SimTime,
-    ) {
-        self.tl
-            .push_span(Track::Gpu, SpanKind::Kernel, gpu_name, start, gpu_end);
-        self.tl
-            .push_span(Track::Npu, SpanKind::Kernel, npu_name, start, npu_end);
-        let rendezvous_start = gpu_end.max(npu_end);
-        let name = self.sync_label("rendezvous", mechanism);
-        self.tl.push_span(
-            Track::Cpu,
-            SpanKind::Sync,
-            name.clone(),
-            rendezvous_start,
-            rendezvous_end,
-        );
-        self.tl.push_flow(
-            name.clone(),
-            Track::Gpu,
-            gpu_end,
-            Track::Cpu,
-            rendezvous_start,
-        );
-        self.tl
-            .push_flow(name, Track::Npu, npu_end, Track::Cpu, rendezvous_start);
-        self.tl.count("parallel_sections", 1);
-    }
-
-    /// An NPU graph for sequence length `m` compiled over
-    /// `[start, end]` (the CPU does the compiling).
-    pub fn graph_compile(&mut self, m: usize, start: SimTime, end: SimTime) {
-        let name = self
-            .compile_labels
-            .entry(m)
-            .or_insert_with(|| Label::from(format!("graph_compile[{m}]")))
-            .clone();
-        self.tl
-            .push_span(Track::Cpu, SpanKind::Cache, name, start, end);
-    }
-
-    /// Count a graph-cache lookup: hit (already compiled) or miss.
-    pub fn graph_lookup(&mut self, hit: bool) {
-        self.tl
-            .count(if hit { "graph_hits" } else { "graph_misses" }, 1);
-    }
-
-    /// Bump a named counter (controller decisions, cache events).
-    pub fn count(&mut self, name: &str, n: u64) {
-        self.tl.count(name, n);
-    }
-
-    /// Record a controller-track action span.
-    pub fn control(&mut self, name: &str, start: SimTime, end: SimTime) {
-        self.tl
-            .push_span(Track::Controller, SpanKind::Control, name, start, end);
-    }
-
-    /// Finish recording, yielding the timeline.
-    pub fn finish(self) -> Timeline {
-        self.tl
     }
 }
 
@@ -654,21 +586,27 @@ mod tests {
     }
 
     #[test]
-    fn recorder_parallel_section_produces_cross_track_flows() {
-        let mut rec = TimelineRecorder::new();
-        rec.parallel_section(
-            "matmul[256x4096x4096]",
-            "matmul[256x4096x4096]",
-            SyncMechanism::Fast,
-            us(0),
-            us(40),
-            us(55),
-            us(57),
-        );
-        let tl = rec.finish();
+    fn parallel_section_projects_cross_track_flows() {
+        let name = KernelName::Matmul {
+            m: 256,
+            k: 4096,
+            n: 4096,
+        };
+        let tl = Timeline::from_events(&[EngineEvent::Parallel {
+            gpu: name,
+            npu: name,
+            gpu_bytes: 4096,
+            npu_bytes: 4096,
+            mechanism: SyncMechanism::Fast,
+            start: us(0),
+            gpu_end: us(40),
+            npu_end: us(55),
+            end: us(57),
+        }]);
         assert!(tl.check_well_formed().is_ok());
         assert_eq!(tl.flows().len(), 2);
         assert_eq!(tl.counters()["parallel_sections"], 1);
+        assert_eq!(tl.spans()[0].name, "matmul[256x4096x4096]");
         let rendezvous = tl
             .spans()
             .iter()
@@ -680,16 +618,14 @@ mod tests {
     }
 
     #[test]
-    fn recorder_switch_records_wait_on_destination_track() {
-        let mut rec = TimelineRecorder::new();
-        rec.switch(
-            Backend::Gpu,
-            Backend::Npu,
-            SyncMechanism::Driver,
-            us(10),
-            us(860),
-        );
-        let tl = rec.finish();
+    fn switch_projects_wait_on_destination_track() {
+        let tl = Timeline::from_events(&[EngineEvent::Switch {
+            from: Backend::Gpu,
+            to: Backend::Npu,
+            mechanism: SyncMechanism::Driver,
+            start: us(10),
+            end: us(860),
+        }]);
         assert_eq!(tl.spans()[0].track, Track::Npu);
         assert_eq!(tl.spans()[0].name, "switch:driver");
         assert_eq!(tl.flows()[0].from_track, Track::Gpu);
@@ -697,12 +633,36 @@ mod tests {
     }
 
     #[test]
-    fn kernel_names_derive_from_descriptors() {
-        use hetero_tensor::shape::MatmulShape;
-        let mm = KernelDesc::matmul_w4a16(MatmulShape { m: 8, k: 16, n: 32 });
-        assert_eq!(kernel_span_name(&mm), "matmul[8x16x32]");
-        let mb = KernelDesc::mem_bound(hetero_soc::kernel::KernelLabel::Softmax, 1, 1, 1);
-        assert_eq!(kernel_span_name(&mb), "softmax");
-        assert_eq!(kernel_span_name(&KernelDesc::host_copy(64)), "host_copy");
+    fn graph_events_project_to_cache_span_and_counters() {
+        let tl = Timeline::from_events(&[
+            EngineEvent::GraphLookup { hit: false },
+            EngineEvent::GraphCompile {
+                m: 300,
+                start: us(0),
+                end: us(9),
+            },
+            EngineEvent::GraphLookup { hit: true },
+        ]);
+        assert_eq!(tl.spans()[0].track, Track::Cpu);
+        assert_eq!(tl.spans()[0].kind, SpanKind::Cache);
+        assert_eq!(tl.spans()[0].name, "graph_compile[300]");
+        assert_eq!(tl.counters()["graph_hits"], 1);
+        assert_eq!(tl.counters()["graph_misses"], 1);
+    }
+
+    #[test]
+    fn repeated_names_share_one_label() {
+        let kernel = EngineEvent::Kernel {
+            backend: Backend::Gpu,
+            name: KernelName::Static("qkv"),
+            out_bytes: 64,
+            mechanism: SyncMechanism::Fast,
+            start: us(0),
+            end: us(1),
+        };
+        let tl = Timeline::from_events(&[kernel, kernel]);
+        let (a, b) = (&tl.spans()[0].name, &tl.spans()[1].name);
+        assert_eq!(a, "qkv");
+        assert!(Arc::ptr_eq(&a.0, &b.0), "interned, not re-allocated");
     }
 }

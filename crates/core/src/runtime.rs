@@ -46,7 +46,7 @@ use crate::integrity::{IntegrityCounters, IntegrityMode};
 use crate::model::ModelConfig;
 use crate::obs::{MetricsRegistry, SpanKind, Timeline as SpanTimeline, Track};
 use crate::report::{DegradationSummary, SessionReport};
-use crate::trace::ConcurrencyLog;
+use crate::trace::{ConcurrencyLog, EngineEvent};
 
 /// Longest prompt the traffic generator emits; SLO calibration probes
 /// at this length so every quiet request has headroom.
@@ -239,6 +239,58 @@ impl ActiveEngine {
     }
 }
 
+/// Session-wide recording: the views armed on a controller, both built
+/// from the event streams of the engines it installs.
+#[derive(Debug, Default)]
+struct Recording {
+    /// Race view (`None` = off): harvested engine segments with disjoint
+    /// buffer/token spaces, plus quiesce markers.
+    log: Option<ConcurrencyLog>,
+    /// Time view (`None` = off), on the controller clock. Each request's
+    /// events record against the engine's own clock (which restarts at
+    /// zero on rebuild) and are spliced in at the request's execution
+    /// start.
+    timeline: Option<SpanTimeline>,
+    /// The installed engine's events not yet in `log`. One engine
+    /// instance is one pool and one token space, so its segment is
+    /// projected whole when the engine is replaced or the log taken.
+    segment: Vec<EngineEvent>,
+}
+
+impl Recording {
+    fn armed(&self) -> bool {
+        self.log.is_some() || self.timeline.is_some()
+    }
+
+    /// Add one served request's events, recorded from engine time
+    /// `engine_base`, which maps to controller time `base`.
+    fn splice(&mut self, events: Vec<EngineEvent>, engine_base: SimTime, base: SimTime) {
+        if let Some(tl) = &mut self.timeline {
+            tl.append_shifted(&SpanTimeline::from_events(&events), engine_base, base);
+        }
+        if self.log.is_some() {
+            self.segment.extend(events);
+        }
+    }
+
+    /// Project the installed engine's segment into the session log.
+    fn harvest(&mut self) {
+        let segment = std::mem::take(&mut self.segment);
+        if let Some(log) = &mut self.log {
+            log.append_shifted(&ConcurrencyLog::from_events(&segment));
+        }
+    }
+
+    /// Push a control-plane quiesce marker into the session log. It
+    /// lands ahead of the installed engine's unharvested segment and
+    /// takes the next token of the log as it stands.
+    fn marker(&mut self, mechanism: SyncMechanism, at: SimTime) {
+        if let Some(log) = &mut self.log {
+            log.push_marker(mechanism, at);
+        }
+    }
+}
+
 /// Serves a request stream under a disturbance trace, reacting (or
 /// not) per its [`ControllerConfig`]; see the module docs for the
 /// reaction policy.
@@ -277,14 +329,8 @@ pub struct RuntimeController {
     prefill_time: SimTime,
     decode_tokens: usize,
     decode_time: SimTime,
-    /// Session-wide concurrency log spanning engine rebuilds
-    /// (`None` = recording off).
-    clog: Option<ConcurrencyLog>,
-    /// Session-wide span timeline spanning engine rebuilds (`None` =
-    /// recording off). Engine segments record against each engine's own
-    /// clock (which restarts at zero on rebuild) and are spliced in at
-    /// the request's execution start on the controller clock.
-    tl: Option<SpanTimeline>,
+    /// Session-wide race and time views spanning engine rebuilds.
+    recording: Recording,
     /// The NPU graph store requests dispatch through; the target of
     /// persistent [`SdcFault::GraphPoison`] faults.
     graphs: GraphCache,
@@ -335,8 +381,7 @@ impl RuntimeController {
             prefill_time: SimTime::ZERO,
             decode_tokens: 0,
             decode_time: SimTime::ZERO,
-            clog: None,
-            tl: None,
+            recording: Recording::default(),
             graphs,
             sdc_pending: Vec::new(),
             icounters: IntegrityCounters::default(),
@@ -351,58 +396,49 @@ impl RuntimeController {
     }
 
     /// Start recording a session-wide concurrency event log. Each
-    /// engine instance records its own segment; the controller merges
-    /// segments (with disjoint buffer/token spaces) across replans and
-    /// fallbacks, inserting a quiesce marker at every transition.
+    /// engine instance's event stream projects onto its own segment;
+    /// the controller merges segments (with disjoint buffer/token
+    /// spaces) across replans and fallbacks, inserting a quiesce marker
+    /// at every transition.
     pub fn enable_concurrency_log(&mut self) {
-        self.clog = Some(ConcurrencyLog::new());
-        self.engine.as_engine().enable_concurrency_log();
+        self.recording.log = Some(ConcurrencyLog::new());
+        self.recording.segment.clear();
     }
 
     /// Take the session-wide concurrency log, ending recording.
     pub fn take_concurrency_log(&mut self) -> Option<ConcurrencyLog> {
-        self.harvest_concurrency_log();
-        self.clog.take()
+        self.recording.harvest();
+        self.recording.log.take()
     }
 
-    /// Merge the active engine's recorded segment into the session log.
-    fn harvest_concurrency_log(&mut self) {
-        if self.clog.is_some() {
-            let seg = self.engine.as_engine().take_concurrency_log();
-            if let (Some(clog), Some(seg)) = (&mut self.clog, seg) {
-                clog.append_shifted(&seg);
-            }
-        }
-    }
-
-    /// Re-arm recording on a freshly installed engine and mark the
-    /// transition (replan/fallback quiesce point) in the session log.
-    fn rearm_concurrency_log(&mut self, mechanism: SyncMechanism) {
-        let at = self.now;
-        if let Some(clog) = &mut self.clog {
-            clog.push_marker(mechanism, at);
-            self.engine.as_engine().enable_concurrency_log();
-        }
-    }
-
-    /// Arm the session-wide span timeline. Each served request arms the
-    /// active engine's recorder, so segments survive replans and
+    /// Arm the session-wide span timeline. Every served request's
+    /// events project onto it, so segments survive replans and
     /// fallbacks; controller reactions appear as `Control` spans on the
     /// [`Track::Controller`] row.
     pub fn enable_timeline(&mut self) {
-        self.tl = Some(SpanTimeline::default());
+        self.recording.timeline = Some(SpanTimeline::default());
     }
 
     /// Take the session-wide span timeline, ending recording.
     pub fn take_timeline(&mut self) -> Option<SpanTimeline> {
-        self.tl.take()
+        self.recording.timeline.take()
     }
 
     /// Push a controller-track span if the timeline is armed.
     fn push_control(&mut self, name: &str, start: SimTime, end: SimTime) {
-        if let Some(tl) = &mut self.tl {
+        if let Some(tl) = &mut self.recording.timeline {
             tl.push_span(Track::Controller, SpanKind::Control, name, start, end);
         }
+    }
+
+    /// Replace the installed engine: settle the outgoing engine's
+    /// energy, harvest its recorded segment, and mark the transition
+    /// (replan/fallback quiesce point) in the session log.
+    fn install(&mut self, engine: ActiveEngine) {
+        self.recording.harvest();
+        self.energy_j += self.engine.as_engine().finish().energy_j;
+        self.engine = engine;
+        self.recording.marker(self.sync, self.now);
     }
 
     /// Serve `requests` in arrival order while `trace` disturbs the
@@ -517,7 +553,8 @@ impl RuntimeController {
                 .verifies()
                 .then(|| self.icounters.summary(self.now)),
             metrics: self
-                .tl
+                .recording
+                .timeline
                 .as_ref()
                 .map(|tl| MetricsRegistry::from_timeline(tl).snapshot()),
         };
@@ -577,22 +614,19 @@ impl RuntimeController {
         // not; derates apply to the pristine base so they never stack.
         let exec_start = start + overhead;
         let exec_cfg = cond.apply_to(&self.pristine);
-        if self.tl.is_some() {
-            self.engine.as_engine().enable_timeline();
-        }
         let engine = self.engine.as_engine();
+        if self.recording.armed() {
+            engine.enable_events();
+        }
         engine.soc_mut().set_config(exec_cfg);
         // The engine clock keeps running across requests (and restarts
-        // at zero on rebuild); the segment is re-based onto the
-        // controller clock at this request's execution start.
+        // at zero on rebuild); the request's events are re-based onto
+        // the controller clock at its execution start.
         let eng_clock0 = engine.soc().clock();
         let prefill = engine.try_prefill(req.prompt_tokens)?;
         let decode = engine.try_decode(req.prompt_tokens, req.response_tokens)?;
-        if self.tl.is_some() {
-            let seg = self.engine.as_engine().take_timeline();
-            if let (Some(tl), Some(seg)) = (&mut self.tl, seg) {
-                tl.append_shifted(&seg, eng_clock0, exec_start);
-            }
+        if let Some(events) = engine.take_events() {
+            self.recording.splice(events, eng_clock0, exec_start);
         }
 
         let ttft = wait + overhead + prefill.elapsed;
@@ -835,12 +869,9 @@ impl RuntimeController {
                 // Backend fallback: run on the healthy backend alone,
                 // subject to the static pre-admission veto.
                 let (kind, plan) = self.fallback_decision(cond);
-                self.harvest_concurrency_log();
-                self.energy_j += self.engine.as_engine().finish().energy_j;
                 let engine = kind.build(&self.model, self.sync);
                 self.pristine = engine.soc().config().clone();
-                self.engine = ActiveEngine::Fallback(engine);
-                self.rearm_concurrency_log(self.sync);
+                self.install(ActiveEngine::Fallback(engine));
                 self.planned = cond.clone();
                 self.fallbacks += 1;
                 self.slow_streak = 0;
@@ -865,13 +896,10 @@ impl RuntimeController {
     /// Replace the active engine with a primary re-planned for `cond`
     /// under the current sync mechanism.
     fn rebuild(&mut self, cond: &SocCondition) -> SimTime {
-        self.harvest_concurrency_log();
-        self.energy_j += self.engine.as_engine().finish().energy_j;
         let quiet_base = hetero_soc_config(self.sync);
         let engine = HeteroTensorEngine::with_soc_config(&self.model, cond.apply_to(&quiet_base));
         self.pristine = quiet_base;
-        self.engine = ActiveEngine::Primary(Box::new(engine));
-        self.rearm_concurrency_log(self.sync);
+        self.install(ActiveEngine::Primary(Box::new(engine)));
         self.planned = cond.clone();
         self.cfg.replan_overhead
     }
@@ -925,10 +953,7 @@ impl RuntimeController {
         let per_rendezvous = if self.cfg.adaptive && self.sync_downgraded {
             // Flagged rendezvous route through the reliable driver
             // path: record the downgrade as a driver-carried marker.
-            let at = self.now;
-            if let Some(clog) = &mut self.clog {
-                clog.push_marker(SyncMechanism::Driver, at);
-            }
+            self.recording.marker(SyncMechanism::Driver, self.now);
             SyncModel::new(SyncMechanism::Driver)
                 .rendezvous(Dominance::NpuDominant)
                 .as_nanos()
@@ -940,11 +965,8 @@ impl RuntimeController {
             };
             self.sync_retries += attempts as usize;
             // Each retry re-arms the flag: one marker per attempt.
-            let at = self.now;
-            if let Some(clog) = &mut self.clog {
-                for _ in 0..attempts {
-                    clog.push_marker(self.sync, at);
-                }
+            for _ in 0..attempts {
+                self.recording.marker(self.sync, self.now);
             }
             self.cfg.retry_backoff.as_nanos() * ((1u64 << attempts) - 1)
         };

@@ -3,8 +3,8 @@
 //! The fast-synchronization runtime (§4.2) replaces driver events with
 //! shared-memory flag polling over pooled buffers. That is exactly the
 //! kind of hand-rolled rendezvous where a missing edge silently
-//! corrupts activations instead of failing, so every engine records a
-//! happens-before-relevant event stream: pooled-buffer
+//! corrupts activations instead of failing, so every engine's event
+//! stream projects onto a happens-before-relevant log: pooled-buffer
 //! acquire/read/write/release, per-backend FIFO submit/complete, and
 //! rendezvous signal/wait under either [`SyncMechanism`].
 //!
@@ -15,28 +15,48 @@
 //! ```
 //! use hetero_soc::sync::SyncMechanism;
 //! use hetero_soc::{Backend, SimTime};
-//! use heterollm::trace::{ConcurrencyOp, ConcurrencyRecorder};
+//! use heterollm::trace::{ConcurrencyLog, ConcurrencyOp, EngineEvent, KernelName};
 //!
-//! let mut rec = ConcurrencyRecorder::new();
 //! // A GPU kernel writes a pooled buffer and signals its flag; the
 //! // switch makes the NPU wait that flag before touching the buffer.
-//! rec.serial_kernel(Backend::Gpu, 4096, SyncMechanism::Fast, SimTime::ZERO);
-//! rec.switch(Backend::Npu, SyncMechanism::Fast, SimTime::from_micros(5));
-//! let log = rec.finish();
-//! assert!(log
+//! let us = SimTime::from_micros;
+//! let mechanism = SyncMechanism::Fast;
+//! let events = [
+//!     EngineEvent::Kernel {
+//!         backend: Backend::Gpu,
+//!         name: KernelName::Static("qkv"),
+//!         out_bytes: 4096,
+//!         mechanism,
+//!         start: us(0),
+//!         end: us(40),
+//!     },
+//!     EngineEvent::Switch {
+//!         from: Backend::Gpu,
+//!         to: Backend::Npu,
+//!         mechanism,
+//!         start: us(40),
+//!         end: us(45),
+//!     },
+//! ];
+//! let log = ConcurrencyLog::from_events(&events);
+//! let signal = log
 //!     .events
 //!     .iter()
-//!     .any(|e| matches!(e.op, ConcurrencyOp::Signal { .. })));
-//! assert!(log
+//!     .position(|e| matches!(e.op, ConcurrencyOp::Signal { .. }))
+//!     .expect("the kernel signals its completion flag");
+//! let wait = log
 //!     .events
 //!     .iter()
-//!     .any(|e| matches!(e.op, ConcurrencyOp::Wait { .. })));
+//!     .position(|e| e.actor == Backend::Npu && matches!(e.op, ConcurrencyOp::Wait { .. }))
+//!     .expect("the switch waits that flag on the NPU");
+//! assert!(signal < wait);
 //! ```
 
 use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{Backend, SimTime};
 
 use crate::mempool::{BufferHandle, MemoryPool};
+use crate::trace::EngineEvent;
 
 /// What one concurrency event does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,32 +157,15 @@ impl ConcurrencyLog {
         self.events.is_empty()
     }
 
-    /// Largest token used by any submit/complete/signal/wait event.
-    fn max_token(&self) -> u64 {
+    /// Largest id in one id space (tokens or buffers) of the log.
+    fn max_id(&self, token: bool) -> u64 {
+        let id = |mut op: ConcurrencyOp| match op.id_mut() {
+            (is_token, id) if is_token == token => Some(*id),
+            _ => None,
+        };
         self.events
             .iter()
-            .filter_map(|e| match e.op {
-                ConcurrencyOp::Submit { token }
-                | ConcurrencyOp::Complete { token }
-                | ConcurrencyOp::Signal { token, .. }
-                | ConcurrencyOp::Wait { token, .. } => Some(token),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Largest buffer id referenced by any buffer event.
-    fn max_buffer(&self) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e.op {
-                ConcurrencyOp::BufferAcquire { buffer, .. }
-                | ConcurrencyOp::BufferRead { buffer }
-                | ConcurrencyOp::BufferWrite { buffer }
-                | ConcurrencyOp::BufferRelease { buffer } => Some(buffer),
-                _ => None,
-            })
+            .filter_map(|e| id(e.op))
             .max()
             .unwrap_or(0)
     }
@@ -173,7 +176,7 @@ impl ConcurrencyLog {
     /// fallbacks, rendezvous retries and sync downgrades so
     /// degradation-time quiesce points are visible in the log.
     pub fn push_marker(&mut self, mechanism: SyncMechanism, at: SimTime) {
-        let token = self.max_token() + 1;
+        let token = self.max_id(true) + 1;
         self.push(at, Backend::Cpu, ConcurrencyOp::Signal { mechanism, token });
         self.push(at, Backend::Cpu, ConcurrencyOp::Wait { mechanism, token });
     }
@@ -187,39 +190,29 @@ impl ConcurrencyLog {
     /// segment from aliasing an unrelated one in another — a fresh
     /// engine's buffers genuinely are new allocations.
     pub fn append_shifted(&mut self, other: &ConcurrencyLog) {
-        let tok_base = self.max_token() + 1;
-        let buf_base = self.max_buffer() + 1;
+        let (tok_base, buf_base) = (self.max_id(true) + 1, self.max_id(false) + 1);
         for e in &other.events {
-            let op = match e.op {
-                ConcurrencyOp::BufferAcquire { buffer, bytes } => ConcurrencyOp::BufferAcquire {
-                    buffer: buffer + buf_base,
-                    bytes,
-                },
-                ConcurrencyOp::BufferRead { buffer } => ConcurrencyOp::BufferRead {
-                    buffer: buffer + buf_base,
-                },
-                ConcurrencyOp::BufferWrite { buffer } => ConcurrencyOp::BufferWrite {
-                    buffer: buffer + buf_base,
-                },
-                ConcurrencyOp::BufferRelease { buffer } => ConcurrencyOp::BufferRelease {
-                    buffer: buffer + buf_base,
-                },
-                ConcurrencyOp::Submit { token } => ConcurrencyOp::Submit {
-                    token: token + tok_base,
-                },
-                ConcurrencyOp::Complete { token } => ConcurrencyOp::Complete {
-                    token: token + tok_base,
-                },
-                ConcurrencyOp::Signal { mechanism, token } => ConcurrencyOp::Signal {
-                    mechanism,
-                    token: token + tok_base,
-                },
-                ConcurrencyOp::Wait { mechanism, token } => ConcurrencyOp::Wait {
-                    mechanism,
-                    token: token + tok_base,
-                },
-            };
+            let mut op = e.op;
+            let (is_token, id) = op.id_mut();
+            *id += if is_token { tok_base } else { buf_base };
             self.push(e.at, e.actor, op);
+        }
+    }
+}
+
+impl ConcurrencyOp {
+    /// The op's id, and whether it is a token (queue submission or
+    /// flag) rather than a buffer id.
+    fn id_mut(&mut self) -> (bool, &mut u64) {
+        match self {
+            Self::Submit { token }
+            | Self::Complete { token }
+            | Self::Signal { token, .. }
+            | Self::Wait { token, .. } => (true, token),
+            Self::BufferAcquire { buffer, .. }
+            | Self::BufferRead { buffer }
+            | Self::BufferWrite { buffer }
+            | Self::BufferRelease { buffer } => (false, buffer),
         }
     }
 }
@@ -233,18 +226,50 @@ struct LiveBuffer {
     flag: u64,
 }
 
-/// Records the concurrency event stream of one engine instance.
-///
-/// The recorder owns a real [`MemoryPool`] so handles genuinely recycle
-/// through size classes the way the runtime's pool does — recycled-slot
-/// hazards in the log are the pool's actual recycling behaviour, not a
-/// simulation of it. It mirrors the engine's *actual* synchronization
-/// calls: a completion flag is signalled after every kernel retires,
-/// but a wait is only recorded where the engine really switches
-/// backends or joins a rendezvous. If an engine skipped a sync, the
-/// log would carry a genuine race for the detector to find.
+impl ConcurrencyLog {
+    /// Project an engine event stream onto its concurrency log.
+    ///
+    /// The projection owns a real [`MemoryPool`], so handles genuinely
+    /// recycle through size classes the way the runtime's pool does —
+    /// recycled-slot hazards in the log are the pool's actual recycling
+    /// behaviour, not a simulation of it. It mirrors the engine's
+    /// *actual* synchronization: a completion flag is signalled after
+    /// every kernel retires, but a wait is only logged where the stream
+    /// holds a backend switch or a rendezvous. If an engine skipped a
+    /// sync, the log would carry a genuine race for the detector to
+    /// find. Graph compiles and lookups carry no buffer traffic and
+    /// leave no trace here.
+    pub fn from_events(events: &[EngineEvent]) -> Self {
+        let mut p = Projection::default();
+        for e in events {
+            match *e {
+                EngineEvent::Kernel {
+                    backend,
+                    out_bytes,
+                    mechanism,
+                    start,
+                    ..
+                } => p.serial_kernel(backend, out_bytes, mechanism, start),
+                EngineEvent::Switch {
+                    to, mechanism, end, ..
+                } => p.switch(to, mechanism, end),
+                EngineEvent::Parallel {
+                    gpu_bytes,
+                    npu_bytes,
+                    mechanism,
+                    start,
+                    ..
+                } => p.parallel_section(gpu_bytes, npu_bytes, mechanism, start),
+                EngineEvent::GraphCompile { .. } | EngineEvent::GraphLookup { .. } => {}
+            }
+        }
+        p.finish()
+    }
+}
+
+/// State of one [`ConcurrencyLog::from_events`] pass.
 #[derive(Debug, Default)]
-pub struct ConcurrencyRecorder {
+struct Projection {
     log: ConcurrencyLog,
     pool: MemoryPool,
     next_token: u64,
@@ -254,39 +279,56 @@ pub struct ConcurrencyRecorder {
     handoff: Option<u64>,
 }
 
-impl ConcurrencyRecorder {
-    /// New recorder with an empty log and a fresh pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Projection {
     fn token(&mut self) -> u64 {
         self.next_token += 1;
         self.next_token
     }
 
-    /// Record a serial kernel on `backend`: wait any pending rendezvous
-    /// continuation, acquire the output slot, submit, read the live
-    /// inputs, write the output, retire, release the inputs, and signal
-    /// the completion flag.
-    pub fn serial_kernel(
+    /// Signal a fresh completion flag on `actor`, returning its token.
+    fn signal(&mut self, actor: Backend, mechanism: SyncMechanism, at: SimTime) -> u64 {
+        let token = self.token();
+        self.log
+            .push(at, actor, ConcurrencyOp::Signal { mechanism, token });
+        token
+    }
+
+    fn release(&mut self, actor: Backend, handle: BufferHandle, at: SimTime) {
+        self.log.push(
+            at,
+            actor,
+            ConcurrencyOp::BufferRelease {
+                buffer: handle.id(),
+            },
+        );
+        self.pool.release(handle);
+    }
+
+    /// The per-side sequence serial kernels and parallel partials
+    /// share: wait the pending continuation `handoff` (and, when
+    /// `cross_waits`, the flags of `inputs` another backend wrote),
+    /// acquire the output slot, submit, read `inputs`, write the
+    /// output, and retire. Returns the output slot.
+    #[allow(clippy::too_many_arguments)]
+    fn side(
         &mut self,
         backend: Backend,
-        out_bytes: u64,
+        bytes: u64,
         mechanism: SyncMechanism,
         at: SimTime,
-    ) {
-        if let Some(tok) = self.handoff.take() {
-            self.log.push(
-                at,
-                backend,
-                ConcurrencyOp::Wait {
-                    mechanism,
-                    token: tok,
-                },
-            );
+        handoff: Option<u64>,
+        inputs: &[LiveBuffer],
+        cross_waits: bool,
+    ) -> BufferHandle {
+        let cross = inputs
+            .iter()
+            .filter(|b| cross_waits && b.writer != backend)
+            .map(|b| b.flag);
+        for token in handoff.into_iter().chain(cross) {
+            self.log
+                .push(at, backend, ConcurrencyOp::Wait { mechanism, token });
         }
-        let out = self.pool.acquire(out_bytes.max(1));
+        let out = self.pool.acquire(bytes.max(1));
         self.log.push(
             at,
             backend,
@@ -295,10 +337,9 @@ impl ConcurrencyRecorder {
                 bytes: out.bytes,
             },
         );
-        let tok = self.token();
-        self.log
-            .push(at, backend, ConcurrencyOp::Submit { token: tok });
-        for b in &self.current {
+        let token = self.token();
+        self.log.push(at, backend, ConcurrencyOp::Submit { token });
+        for b in inputs {
             self.log.push(
                 at,
                 backend,
@@ -310,36 +351,37 @@ impl ConcurrencyRecorder {
         self.log
             .push(at, backend, ConcurrencyOp::BufferWrite { buffer: out.id() });
         self.log
-            .push(at, backend, ConcurrencyOp::Complete { token: tok });
-        for b in std::mem::take(&mut self.current) {
-            self.log.push(
-                at,
-                backend,
-                ConcurrencyOp::BufferRelease {
-                    buffer: b.handle.id(),
-                },
-            );
-            self.pool.release(b.handle);
-        }
-        let flag = self.token();
-        self.log.push(
-            at,
-            backend,
-            ConcurrencyOp::Signal {
-                mechanism,
-                token: flag,
-            },
-        );
-        self.current = vec![LiveBuffer {
-            handle: out,
-            writer: backend,
-            flag,
-        }];
+            .push(at, backend, ConcurrencyOp::Complete { token });
+        out
     }
 
-    /// Record a backend switch: the destination backend waits on the
+    /// A serial kernel on `backend`: one side consuming the live
+    /// inputs, which it then releases before signalling its flag.
+    fn serial_kernel(
+        &mut self,
+        backend: Backend,
+        bytes: u64,
+        mechanism: SyncMechanism,
+        at: SimTime,
+    ) {
+        let handoff = self.handoff.take();
+        let mut inputs = std::mem::take(&mut self.current);
+        let handle = self.side(backend, bytes, mechanism, at, handoff, &inputs, false);
+        for b in inputs.drain(..) {
+            self.release(backend, b.handle, at);
+        }
+        let flag = self.signal(backend, mechanism, at);
+        inputs.push(LiveBuffer {
+            handle,
+            writer: backend,
+            flag,
+        });
+        self.current = inputs;
+    }
+
+    /// A backend switch: the destination backend waits on the
     /// completion flags of every live buffer another backend wrote.
-    pub fn switch(&mut self, to: Backend, mechanism: SyncMechanism, at: SimTime) {
+    fn switch(&mut self, to: Backend, mechanism: SyncMechanism, at: SimTime) {
         for b in &self.current {
             if b.writer != to {
                 self.log.push(
@@ -354,12 +396,11 @@ impl ConcurrencyRecorder {
         }
     }
 
-    /// Record a parallel GPU+NPU section ending in a rendezvous: each
-    /// side waits the flags of cross-backend inputs (and any pending
-    /// continuation), runs its partial kernel, and signals; the CPU
-    /// control plane joins both flags, releases the inputs, and signals
-    /// the continuation flag the next step waits on.
-    pub fn parallel_section(
+    /// A parallel GPU+NPU section ending in a rendezvous: each side
+    /// runs and signals; the CPU control plane joins both flags,
+    /// releases the inputs, and signals the continuation flag the next
+    /// step waits on.
+    fn parallel_section(
         &mut self,
         gpu_bytes: u64,
         npu_bytes: u64,
@@ -370,64 +411,10 @@ impl ConcurrencyRecorder {
         let inputs = std::mem::take(&mut self.current);
         let mut outputs = Vec::with_capacity(2);
         for (backend, bytes) in [(Backend::Gpu, gpu_bytes), (Backend::Npu, npu_bytes)] {
-            if let Some(tok) = handoff {
-                self.log.push(
-                    at,
-                    backend,
-                    ConcurrencyOp::Wait {
-                        mechanism,
-                        token: tok,
-                    },
-                );
-            }
-            for b in &inputs {
-                if b.writer != backend {
-                    self.log.push(
-                        at,
-                        backend,
-                        ConcurrencyOp::Wait {
-                            mechanism,
-                            token: b.flag,
-                        },
-                    );
-                }
-            }
-            let out = self.pool.acquire(bytes.max(1));
-            self.log.push(
-                at,
-                backend,
-                ConcurrencyOp::BufferAcquire {
-                    buffer: out.id(),
-                    bytes: out.bytes,
-                },
-            );
-            let tok = self.token();
-            self.log
-                .push(at, backend, ConcurrencyOp::Submit { token: tok });
-            for b in &inputs {
-                self.log.push(
-                    at,
-                    backend,
-                    ConcurrencyOp::BufferRead {
-                        buffer: b.handle.id(),
-                    },
-                );
-            }
-            self.log
-                .push(at, backend, ConcurrencyOp::BufferWrite { buffer: out.id() });
-            self.log
-                .push(at, backend, ConcurrencyOp::Complete { token: tok });
-            let flag = self.token();
-            self.log.push(
-                at,
-                backend,
-                ConcurrencyOp::Signal {
-                    mechanism,
-                    token: flag,
-                },
-            );
+            let handle = self.side(backend, bytes, mechanism, at, handoff, &inputs, true);
+            let flag = self.signal(backend, mechanism, at);
             outputs.push(LiveBuffer {
-                handle: out,
+                handle,
                 writer: backend,
                 flag,
             });
@@ -444,65 +431,56 @@ impl ConcurrencyRecorder {
             );
         }
         for b in inputs {
-            self.log.push(
-                at,
-                Backend::Cpu,
-                ConcurrencyOp::BufferRelease {
-                    buffer: b.handle.id(),
-                },
-            );
-            self.pool.release(b.handle);
+            self.release(Backend::Cpu, b.handle, at);
         }
-        let cont = self.token();
-        self.log.push(
-            at,
-            Backend::Cpu,
-            ConcurrencyOp::Signal {
-                mechanism,
-                token: cont,
-            },
-        );
+        self.handoff = Some(self.signal(Backend::Cpu, mechanism, at));
         self.current = outputs;
-        self.handoff = Some(cont);
     }
 
-    /// Finish recording: release any still-live buffers (each by its
-    /// writing actor) and return the log.
-    pub fn finish(mut self) -> ConcurrencyLog {
+    /// Release any still-live buffers (each by its writing actor) and
+    /// return the log.
+    fn finish(mut self) -> ConcurrencyLog {
         for b in std::mem::take(&mut self.current) {
-            self.log.push(
-                SimTime::ZERO,
-                b.writer,
-                ConcurrencyOp::BufferRelease {
-                    buffer: b.handle.id(),
-                },
-            );
-            self.pool.release(b.handle);
+            self.release(b.writer, b.handle, SimTime::ZERO);
         }
         self.log
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::KernelName;
+
+    fn kernel(backend: Backend, mechanism: SyncMechanism) -> EngineEvent {
+        EngineEvent::Kernel {
+            backend,
+            name: KernelName::Static("k"),
+            out_bytes: 4096,
+            mechanism,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+        }
+    }
+
+    fn parallel() -> EngineEvent {
+        EngineEvent::Parallel {
+            gpu: KernelName::Static("g"),
+            npu: KernelName::Static("n"),
+            gpu_bytes: 4096,
+            npu_bytes: 4096,
+            mechanism: SyncMechanism::Fast,
+            start: SimTime::ZERO,
+            gpu_end: SimTime::ZERO,
+            npu_end: SimTime::ZERO,
+            end: SimTime::ZERO,
+        }
+    }
 
     #[test]
     fn serial_chain_records_expected_shape() {
-        let mut r = ConcurrencyRecorder::new();
-        r.serial_kernel(Backend::Gpu, 4096, SyncMechanism::Fast, SimTime::ZERO);
-        r.serial_kernel(Backend::Gpu, 4096, SyncMechanism::Fast, SimTime::ZERO);
-        let log = r.finish();
+        let gpu = kernel(Backend::Gpu, SyncMechanism::Fast);
+        let log = ConcurrencyLog::from_events(&[gpu, gpu]);
         // Acquire/submit/write/complete/signal + read/release on the 2nd.
         let acquires = log
             .events
@@ -520,10 +498,8 @@ mod tests {
 
     #[test]
     fn parallel_section_ends_with_cpu_rendezvous() {
-        let mut r = ConcurrencyRecorder::new();
-        r.serial_kernel(Backend::Gpu, 4096, SyncMechanism::Fast, SimTime::ZERO);
-        r.parallel_section(4096, 4096, SyncMechanism::Fast, SimTime::ZERO);
-        let log = r.finish();
+        let log =
+            ConcurrencyLog::from_events(&[kernel(Backend::Gpu, SyncMechanism::Fast), parallel()]);
         let cpu_waits = log
             .events
             .iter()
@@ -533,13 +509,22 @@ mod tests {
     }
 
     #[test]
+    fn graph_events_leave_no_trace() {
+        let graph = [
+            EngineEvent::GraphLookup { hit: false },
+            EngineEvent::GraphCompile {
+                m: 64,
+                start: SimTime::ZERO,
+                end: SimTime::from_micros(9),
+            },
+        ];
+        assert!(ConcurrencyLog::from_events(&graph).is_empty());
+    }
+
+    #[test]
     fn append_shifted_keeps_token_spaces_disjoint() {
-        let mut a = ConcurrencyRecorder::new();
-        a.serial_kernel(Backend::Gpu, 4096, SyncMechanism::Fast, SimTime::ZERO);
-        let mut log = a.finish();
-        let mut b = ConcurrencyRecorder::new();
-        b.serial_kernel(Backend::Npu, 4096, SyncMechanism::Driver, SimTime::ZERO);
-        let second = b.finish();
+        let mut log = ConcurrencyLog::from_events(&[kernel(Backend::Gpu, SyncMechanism::Fast)]);
+        let second = ConcurrencyLog::from_events(&[kernel(Backend::Npu, SyncMechanism::Driver)]);
         let before = log.len();
         log.append_shifted(&second);
         assert_eq!(log.len(), before + second.len());

@@ -1,5 +1,6 @@
-//! Operator traces: the exact kernel sequence of a prefill or decode
-//! step for a model configuration.
+//! Operator traces — the exact kernel sequence of a prefill or decode
+//! step for a model configuration — and the record of how an engine ran
+//! them.
 //!
 //! Traces drive timing mode — engines schedule each [`TraceOp`] onto
 //! backends under their policy — and mirror the execution flow of the
@@ -28,10 +29,17 @@
 //! );
 //! assert!(trace.total_flops() > 0 && trace.total_bytes() > 0);
 //! ```
+//!
+//! While executing a trace, an engine with recording armed
+//! (`enable_events` / `take_events` on [`crate::engines::Engine`])
+//! appends one [`EngineEvent`] per step; [`events`] describes the two
+//! views projected from that stream.
 
 pub mod concurrency;
+pub mod events;
 
-pub use concurrency::{ConcurrencyEvent, ConcurrencyLog, ConcurrencyOp, ConcurrencyRecorder};
+pub use concurrency::{ConcurrencyEvent, ConcurrencyLog, ConcurrencyOp};
+pub use events::{EngineEvent, KernelName};
 
 use crate::model::ModelConfig;
 use hetero_soc::kernel::KernelLabel;

@@ -61,12 +61,12 @@ fn case_line(case: &str, log: &ConcurrencyLog, tl: &Timeline) -> String {
 fn engine_case(kind: EngineKind, mechanism: SyncMechanism) -> String {
     let model = ModelConfig::internlm_1_8b();
     let mut engine = kind.build(&model, mechanism);
-    engine.enable_concurrency_log();
-    engine.enable_timeline();
+    engine.enable_events();
     engine.try_prefill(64).expect("prefill");
     engine.try_decode(64, 1).expect("decode");
-    let log = engine.take_concurrency_log().expect("log recorded");
-    let tl = engine.take_timeline().expect("timeline recorded");
+    let events = engine.take_events().expect("events recorded");
+    let log = ConcurrencyLog::from_events(&events);
+    let tl = Timeline::from_events(&events);
     case_line(
         &format!("{}/{}", engine.name(), mechanism.name()),
         &log,
