@@ -46,7 +46,8 @@
 //!   evidence; CI greps for them.
 //!
 //! Exit status: 0 when no deny-level finding, 1 otherwise, 2 on usage
-//! errors. CI gates on this.
+//! errors and on input files that cannot be read or parsed. CI gates
+//! on this.
 
 use std::process::ExitCode;
 
@@ -219,8 +220,17 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
+            // Text that is not JSON at all is a parse error (exit 2);
+            // JSON that is not a well-formed trace is a finding.
+            let doc = match serde_json::from_str(&text) {
+                Ok(doc) => doc,
+                Err(e) => {
+                    eprintln!("cannot parse {path} as JSON: {e}");
+                    return ExitCode::from(2);
+                }
+            };
             let mut report = hetero_analyze::Report::new();
-            report.extend(hetero_analyze::check_trace(&text, &path));
+            report.extend(hetero_analyze::check_trace_doc(&doc, &path));
             report
         }
         Command::Race => {

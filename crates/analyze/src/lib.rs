@@ -141,7 +141,7 @@ pub use sched::{
     SyncSchedule,
 };
 pub use sweep::{integrity_lint_models, lint_models};
-pub use timeline::check_trace;
+pub use timeline::{check_trace, check_trace_doc};
 
 use hetero_graph::partition::PartitionPlan;
 

@@ -54,16 +54,18 @@ struct Event {
 /// finding; an unparseable document yields a single
 /// [`rules::TRACE_FORMAT`] finding.
 pub fn check_trace(text: &str, loc: &str) -> Vec<Diagnostic> {
-    let doc: serde_json::Value = match serde_json::from_str(text) {
-        Ok(v) => v,
-        Err(e) => {
-            return vec![deny(
-                rules::TRACE_FORMAT,
-                loc,
-                format!("not valid JSON: {e}"),
-            )];
-        }
-    };
+    match serde_json::from_str(text) {
+        Ok(doc) => check_trace_doc(&doc, loc),
+        Err(e) => vec![deny(
+            rules::TRACE_FORMAT,
+            loc,
+            format!("not valid JSON: {e}"),
+        )],
+    }
+}
+
+/// [`check_trace`] over an already-parsed JSON document.
+pub fn check_trace_doc(doc: &serde_json::Value, loc: &str) -> Vec<Diagnostic> {
     let Some(events) = doc.get("traceEvents").and_then(|v| v.as_array()) else {
         return vec![deny(
             rules::TRACE_FORMAT,

@@ -49,6 +49,22 @@ fn deny_exit_still_emits_report_json() {
 }
 
 #[test]
+fn unparseable_input_exits_two_for_timeline_and_monitor() {
+    // 100k unclosed brackets: past the JSON parser's nesting limit, so a
+    // typed parse error rather than a stack overflow.
+    let dir = std::env::temp_dir().join("hetero-analyze-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep_nesting.json");
+    std::fs::write(&path, "[".repeat(100_000)).expect("write input");
+    let path = path.to_str().unwrap();
+    for sub in ["timeline", "monitor"] {
+        let out = analyze(&[sub, path, "--json"]);
+        assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
+        assert!(out.stdout.is_empty(), "{sub}: parse errors emit no report");
+    }
+}
+
+#[test]
 fn usage_errors_exit_two() {
     let out = analyze(&["no-such-subcommand"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");

@@ -71,9 +71,16 @@ pub fn from_value<T: for<'de> Deserialize<'de>>(value: Value) -> Result<T> {
 // JSON parser (recursive descent)
 // -------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (upstream
+/// serde_json's default recursion limit). Deeper input is an error, not
+/// a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -81,6 +88,7 @@ impl<'a> Parser<'a> {
         Self {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -123,8 +131,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Content::Str(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Content::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Content::Bool(false)),
@@ -132,6 +140,17 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value> {
@@ -310,6 +329,25 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_limited_to_128_levels() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        // Far past the limit: a typed error, not a stack overflow.
+        assert!(from_str::<Value>(&"[".repeat(100_000)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
+    }
 
     #[test]
     fn roundtrip_document() {
