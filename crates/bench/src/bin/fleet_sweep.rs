@@ -86,46 +86,63 @@ fn pct_ppm(ppm: u64) -> String {
     format!("{:.2}", ppm as f64 / 10_000.0)
 }
 
-fn gate(cmp: &FleetComparison) {
-    let (r, n) = (&cmp.robust, &cmp.naive);
-    assert_eq!(
-        r.lost, 0,
-        "robust arm stranded {} requests: retry/breaker/probe layers failed to recover",
-        r.lost
-    );
-    assert!(
-        n.lost > 0,
-        "fault plan never bit the naive arm; storm too weak to gate on"
-    );
-    assert!(
-        r.ttft_p999_ns < n.ttft_p999_ns,
-        "robust p999 TTFT {} must beat round-robin {}",
-        r.ttft_p999_ns,
-        n.ttft_p999_ns
-    );
-    assert!(
-        r.attainment_ppm > n.attainment_ppm,
-        "robust SLO attainment {} ppm must beat round-robin {} ppm",
-        r.attainment_ppm,
-        n.attainment_ppm
-    );
-    assert!(
-        r.goodput > n.goodput,
-        "robust goodput {} must beat round-robin {}",
-        r.goodput,
-        n.goodput
-    );
-    assert!(
-        r.retries > 0,
-        "no retry fired under the standard fault plan"
-    );
-    assert!(
-        r.breaker_trips > 0,
-        "no breaker tripped under the standard fault plan"
-    );
+/// Gate failures collected across the run; the binary names each on
+/// stderr and exits 1 if any fired.
+#[derive(Default)]
+struct Gates(Vec<String>);
+
+impl Gates {
+    fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) -> bool {
+        if !ok {
+            self.0.push(failure());
+        }
+        ok
+    }
 }
 
-fn fleet_lint(cmp: &FleetComparison) {
+/// The serving gate; returns whether every condition held.
+fn gate(cmp: &FleetComparison, gates: &mut Gates) -> bool {
+    let (r, n) = (&cmp.robust, &cmp.naive);
+    [
+        gates.check(r.lost == 0, || {
+            format!(
+                "robust arm stranded {} requests: retry/breaker/probe layers failed to recover",
+                r.lost
+            )
+        }),
+        gates.check(n.lost > 0, || {
+            "fault plan never bit the naive arm; storm too weak to gate on".into()
+        }),
+        gates.check(r.ttft_p999_ns < n.ttft_p999_ns, || {
+            format!(
+                "robust p999 TTFT {} must beat round-robin {}",
+                r.ttft_p999_ns, n.ttft_p999_ns
+            )
+        }),
+        gates.check(r.attainment_ppm > n.attainment_ppm, || {
+            format!(
+                "robust SLO attainment {} ppm must beat round-robin {} ppm",
+                r.attainment_ppm, n.attainment_ppm
+            )
+        }),
+        gates.check(r.goodput > n.goodput, || {
+            format!(
+                "robust goodput {} must beat round-robin {}",
+                r.goodput, n.goodput
+            )
+        }),
+        gates.check(r.retries > 0, || {
+            "no retry fired under the standard fault plan".into()
+        }),
+        gates.check(r.breaker_trips > 0, || {
+            "no breaker tripped under the standard fault plan".into()
+        }),
+    ]
+    .iter()
+    .all(|&ok| ok)
+}
+
+fn fleet_lint(cmp: &FleetComparison, gates: &mut Gates) {
     let mut report = hetero_analyze::Report::new();
     report.extend(hetero_analyze::check_retry_policy(
         &RetryPolicy::standard(),
@@ -142,11 +159,12 @@ fn fleet_lint(cmp: &FleetComparison) {
         "fleet lint (retry-storm, shed-starvation): {} deny, {} warn",
         report.summary.deny, report.summary.warn
     );
-    assert!(report.is_clean(), "fleet policy/evidence failed the lint");
-    assert_eq!(
-        report.summary.warn, 0,
-        "shed-starvation warning on the shipped policy"
-    );
+    gates.check(report.is_clean(), || {
+        "fleet policy/evidence failed the lint".into()
+    });
+    gates.check(report.summary.warn == 0, || {
+        "shed-starvation warning on the shipped policy".into()
+    });
 }
 
 /// Temporal certification gate over the recorded event-log pair: the
@@ -155,28 +173,27 @@ fn fleet_lint(cmp: &FleetComparison) {
 /// census contract, blind batch admission mid-storm) — so the monitor
 /// is continuously proven able to detect what the naive design does
 /// wrong, not just to pass the good one.
-fn monitor_gate(pair: &FleetLogPair) {
+fn monitor_gate(pair: &FleetLogPair, gates: &mut Gates) {
     let robust = hetero_analyze::monitor_fleet_log(&pair.robust);
-    assert!(
-        robust.findings.is_empty(),
-        "robust arm violated temporal specs: {:?}",
-        robust.findings
-    );
+    let mut ok = gates.check(robust.findings.is_empty(), || {
+        format!("robust arm violated temporal specs: {:?}", robust.findings)
+    });
     let naive = hetero_analyze::monitor_fleet_log(&pair.naive);
     for expected in [
         hetero_analyze::rules::CENSUS_STALENESS,
         hetero_analyze::rules::BROWNOUT_UNSHED,
     ] {
-        assert!(
-            naive.findings.iter().any(|d| d.rule_id == expected),
-            "round-robin arm no longer trips `{expected}`; naive-violation evidence lost"
+        ok &= gates.check(naive.findings.iter().any(|d| d.rule_id == expected), || {
+            format!("round-robin arm no longer trips `{expected}`; naive-violation evidence lost")
+        });
+    }
+    if ok {
+        println!(
+            "temporal monitor: robust clean ({} events, {} spec instances); round-robin \
+             violates [census-staleness, brownout-unshed] [verified]",
+            robust.events, robust.instances
         );
     }
-    println!(
-        "temporal monitor: robust clean ({} events, {} spec instances); round-robin \
-         violates [census-staleness, brownout-unshed] [verified]",
-        robust.events, robust.instances
-    );
 }
 
 fn main() {
@@ -266,18 +283,26 @@ byte-identical for every value)",
         ms(r.slo_tpot_ns)
     );
 
-    gate(&cmp);
-    println!(
-        "robust arm: 0 unrecovered, p999 TTFT / attainment / goodput all \
-         strictly better than round-robin [verified]"
-    );
-    fleet_lint(&cmp);
+    let mut gates = Gates::default();
+    if gate(&cmp, &mut gates) {
+        println!(
+            "robust arm: 0 unrecovered, p999 TTFT / attainment / goodput all \
+             strictly better than round-robin [verified]"
+        );
+    }
+    fleet_lint(&cmp, &mut gates);
     if let (Some(path), Some(pair)) = (&args.events_out, &pair) {
         let mut text = serde_json::to_string(pair).expect("serialize event-log pair");
         text.push('\n');
         std::fs::write(path, text).expect("write event log");
         println!("events: wrote {path}");
-        monitor_gate(pair);
+        monitor_gate(pair, &mut gates);
+    }
+    if !gates.0.is_empty() {
+        for failure in &gates.0 {
+            eprintln!("fleet_sweep: gate failed: {failure}");
+        }
+        std::process::exit(1);
     }
 
     if args.json {
