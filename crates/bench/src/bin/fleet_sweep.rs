@@ -92,54 +92,48 @@ fn pct_ppm(ppm: u64) -> String {
 struct Gates(Vec<String>);
 
 impl Gates {
-    fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) -> bool {
+    fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) {
         if !ok {
             self.0.push(failure());
         }
-        ok
     }
 }
 
-/// The serving gate; returns whether every condition held.
-fn gate(cmp: &FleetComparison, gates: &mut Gates) -> bool {
+fn gate(cmp: &FleetComparison, gates: &mut Gates) {
     let (r, n) = (&cmp.robust, &cmp.naive);
-    [
-        gates.check(r.lost == 0, || {
-            format!(
-                "robust arm stranded {} requests: retry/breaker/probe layers failed to recover",
-                r.lost
-            )
-        }),
-        gates.check(n.lost > 0, || {
-            "fault plan never bit the naive arm; storm too weak to gate on".into()
-        }),
-        gates.check(r.ttft_p999_ns < n.ttft_p999_ns, || {
-            format!(
-                "robust p999 TTFT {} must beat round-robin {}",
-                r.ttft_p999_ns, n.ttft_p999_ns
-            )
-        }),
-        gates.check(r.attainment_ppm > n.attainment_ppm, || {
-            format!(
-                "robust SLO attainment {} ppm must beat round-robin {} ppm",
-                r.attainment_ppm, n.attainment_ppm
-            )
-        }),
-        gates.check(r.goodput > n.goodput, || {
-            format!(
-                "robust goodput {} must beat round-robin {}",
-                r.goodput, n.goodput
-            )
-        }),
-        gates.check(r.retries > 0, || {
-            "no retry fired under the standard fault plan".into()
-        }),
-        gates.check(r.breaker_trips > 0, || {
-            "no breaker tripped under the standard fault plan".into()
-        }),
-    ]
-    .iter()
-    .all(|&ok| ok)
+    gates.check(r.lost == 0, || {
+        format!(
+            "robust arm stranded {} requests: retry/breaker/probe layers failed to recover",
+            r.lost
+        )
+    });
+    gates.check(n.lost > 0, || {
+        "fault plan never bit the naive arm; storm too weak to gate on".into()
+    });
+    gates.check(r.ttft_p999_ns < n.ttft_p999_ns, || {
+        format!(
+            "robust p999 TTFT {} must beat round-robin {}",
+            r.ttft_p999_ns, n.ttft_p999_ns
+        )
+    });
+    gates.check(r.attainment_ppm > n.attainment_ppm, || {
+        format!(
+            "robust SLO attainment {} ppm must beat round-robin {} ppm",
+            r.attainment_ppm, n.attainment_ppm
+        )
+    });
+    gates.check(r.goodput > n.goodput, || {
+        format!(
+            "robust goodput {} must beat round-robin {}",
+            r.goodput, n.goodput
+        )
+    });
+    gates.check(r.retries > 0, || {
+        "no retry fired under the standard fault plan".into()
+    });
+    gates.check(r.breaker_trips > 0, || {
+        "no breaker tripped under the standard fault plan".into()
+    });
 }
 
 fn fleet_lint(cmp: &FleetComparison, gates: &mut Gates) {
@@ -174,8 +168,9 @@ fn fleet_lint(cmp: &FleetComparison, gates: &mut Gates) {
 /// is continuously proven able to detect what the naive design does
 /// wrong, not just to pass the good one.
 fn monitor_gate(pair: &FleetLogPair, gates: &mut Gates) {
+    let failed_before = gates.0.len();
     let robust = hetero_analyze::monitor_fleet_log(&pair.robust);
-    let mut ok = gates.check(robust.findings.is_empty(), || {
+    gates.check(robust.findings.is_empty(), || {
         format!("robust arm violated temporal specs: {:?}", robust.findings)
     });
     let naive = hetero_analyze::monitor_fleet_log(&pair.naive);
@@ -183,11 +178,11 @@ fn monitor_gate(pair: &FleetLogPair, gates: &mut Gates) {
         hetero_analyze::rules::CENSUS_STALENESS,
         hetero_analyze::rules::BROWNOUT_UNSHED,
     ] {
-        ok &= gates.check(naive.findings.iter().any(|d| d.rule_id == expected), || {
+        gates.check(naive.findings.iter().any(|d| d.rule_id == expected), || {
             format!("round-robin arm no longer trips `{expected}`; naive-violation evidence lost")
         });
     }
-    if ok {
+    if gates.0.len() == failed_before {
         println!(
             "temporal monitor: robust clean ({} events, {} spec instances); round-robin \
              violates [census-staleness, brownout-unshed] [verified]",
@@ -284,7 +279,8 @@ byte-identical for every value)",
     );
 
     let mut gates = Gates::default();
-    if gate(&cmp, &mut gates) {
+    gate(&cmp, &mut gates);
+    if gates.0.is_empty() {
         println!(
             "robust arm: 0 unrecovered, p999 TTFT / attainment / goodput all \
              strictly better than round-robin [verified]"

@@ -157,17 +157,17 @@ impl ConcurrencyLog {
         self.events.is_empty()
     }
 
-    /// Largest id in one id space (tokens or buffers) of the log.
-    fn max_id(&self, token: bool) -> u64 {
-        let id = |mut op: ConcurrencyOp| match op.id_mut() {
-            (is_token, id) if is_token == token => Some(*id),
-            _ => None,
-        };
-        self.events
-            .iter()
-            .filter_map(|e| id(e.op))
-            .max()
-            .unwrap_or(0)
+    /// The next unused token and the next unused buffer id.
+    fn next_ids(&self) -> (u64, u64) {
+        let (mut token, mut buffer) = (0, 0);
+        for e in &self.events {
+            let mut op = e.op;
+            match op.id_mut() {
+                (true, id) => token = token.max(*id),
+                (false, id) => buffer = buffer.max(*id),
+            }
+        }
+        (token + 1, buffer + 1)
     }
 
     /// Record a control-plane marker pair: a CPU-side signal
@@ -176,7 +176,7 @@ impl ConcurrencyLog {
     /// fallbacks, rendezvous retries and sync downgrades so
     /// degradation-time quiesce points are visible in the log.
     pub fn push_marker(&mut self, mechanism: SyncMechanism, at: SimTime) {
-        let token = self.max_id(true) + 1;
+        let (token, _) = self.next_ids();
         self.push(at, Backend::Cpu, ConcurrencyOp::Signal { mechanism, token });
         self.push(at, Backend::Cpu, ConcurrencyOp::Wait { mechanism, token });
     }
@@ -190,7 +190,7 @@ impl ConcurrencyLog {
     /// segment from aliasing an unrelated one in another — a fresh
     /// engine's buffers genuinely are new allocations.
     pub fn append_shifted(&mut self, other: &ConcurrencyLog) {
-        let (tok_base, buf_base) = (self.max_id(true) + 1, self.max_id(false) + 1);
+        let (tok_base, buf_base) = self.next_ids();
         for e in &other.events {
             let mut op = e.op;
             let (is_token, id) = op.id_mut();
@@ -305,26 +305,19 @@ impl Projection {
     }
 
     /// The per-side sequence serial kernels and parallel partials
-    /// share: wait the pending continuation `handoff` (and, when
-    /// `cross_waits`, the flags of `inputs` another backend wrote),
-    /// acquire the output slot, submit, read `inputs`, write the
-    /// output, and retire. Returns the output slot.
-    #[allow(clippy::too_many_arguments)]
+    /// share: wait the `waits` flags, acquire the output slot, submit,
+    /// read `inputs`, write the output, and retire. Returns the output
+    /// slot.
     fn side(
         &mut self,
         backend: Backend,
         bytes: u64,
         mechanism: SyncMechanism,
         at: SimTime,
-        handoff: Option<u64>,
+        waits: impl IntoIterator<Item = u64>,
         inputs: &[LiveBuffer],
-        cross_waits: bool,
     ) -> BufferHandle {
-        let cross = inputs
-            .iter()
-            .filter(|b| cross_waits && b.writer != backend)
-            .map(|b| b.flag);
-        for token in handoff.into_iter().chain(cross) {
+        for token in waits {
             self.log
                 .push(at, backend, ConcurrencyOp::Wait { mechanism, token });
         }
@@ -355,8 +348,10 @@ impl Projection {
         out
     }
 
-    /// A serial kernel on `backend`: one side consuming the live
-    /// inputs, which it then releases before signalling its flag.
+    /// A serial kernel on `backend`: one side that waits only the
+    /// pending continuation (a switch already waited the inputs),
+    /// consumes the live inputs, and releases them before signalling
+    /// its flag.
     fn serial_kernel(
         &mut self,
         backend: Backend,
@@ -366,7 +361,7 @@ impl Projection {
     ) {
         let handoff = self.handoff.take();
         let mut inputs = std::mem::take(&mut self.current);
-        let handle = self.side(backend, bytes, mechanism, at, handoff, &inputs, false);
+        let handle = self.side(backend, bytes, mechanism, at, handoff, &inputs);
         for b in inputs.drain(..) {
             self.release(backend, b.handle, at);
         }
@@ -397,9 +392,10 @@ impl Projection {
     }
 
     /// A parallel GPU+NPU section ending in a rendezvous: each side
-    /// runs and signals; the CPU control plane joins both flags,
-    /// releases the inputs, and signals the continuation flag the next
-    /// step waits on.
+    /// waits the pending continuation and the flags of inputs another
+    /// backend wrote, runs, and signals; the CPU control plane joins
+    /// both flags, releases the inputs, and signals the continuation
+    /// flag the next step waits on.
     fn parallel_section(
         &mut self,
         gpu_bytes: u64,
@@ -411,7 +407,12 @@ impl Projection {
         let inputs = std::mem::take(&mut self.current);
         let mut outputs = Vec::with_capacity(2);
         for (backend, bytes) in [(Backend::Gpu, gpu_bytes), (Backend::Npu, npu_bytes)] {
-            let handle = self.side(backend, bytes, mechanism, at, handoff, &inputs, true);
+            let cross = inputs
+                .iter()
+                .filter(|b| b.writer != backend)
+                .map(|b| b.flag);
+            let waits = handoff.into_iter().chain(cross);
+            let handle = self.side(backend, bytes, mechanism, at, waits, &inputs);
             let flag = self.signal(backend, mechanism, at);
             outputs.push(LiveBuffer {
                 handle,
