@@ -152,8 +152,8 @@ pub fn race_lint_models(models: &[ModelConfig], mechanism: SyncMechanism, seq: u
             engine
                 .try_decode(seq, 2)
                 .expect("race sweep decode must not fail");
-            let events = engine.take_events().expect("recording was enabled");
-            let log = ConcurrencyLog::from_events(&events);
+            let log =
+                ConcurrencyLog::from_events(&engine.take_events().expect("recording was enabled"));
             let location = format!("{}/{}[m={seq}]", model.name, engine.name());
             report.extend(race::check_log(&log, &location));
         }
