@@ -24,13 +24,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "ablate_alignment",
         "Ablation: partition-alignment granularity",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_alignment");
     println!("Ablation: row-partition alignment (Llama-8B, seq 256, prefill)\n");
     let model = ModelConfig::llama_8b();
     let mut t = Table::new(&["align", "operator", "est latency", "row-cut candidates"]);

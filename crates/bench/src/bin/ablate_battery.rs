@@ -24,13 +24,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "ablate_battery",
         "Extension experiment: tokens per battery charge",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_battery");
     println!("Extension: tokens per battery charge (Llama-3B, 30% of a 69 kJ battery)\n");
     let model = ModelConfig::llama_3b();
     let mut t = Table::new(&[

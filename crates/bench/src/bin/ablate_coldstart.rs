@@ -21,13 +21,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "ablate_coldstart",
         "Extension experiment: cold start vs first-request latency",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_coldstart");
     println!("Extension: cold start vs first request (Llama-8B, first prompt = 300 tokens)\n");
     let model = ModelConfig::llama_8b();
 

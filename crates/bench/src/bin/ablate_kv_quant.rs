@@ -18,13 +18,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "ablate_kv_quant",
         "Extension experiment: INT8 KV-cache quantization",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_kv_quant");
     println!("Extension: INT8 KV cache vs FP16 (Llama-8B decode, Hetero-tensor)\n");
     let f16_model = ModelConfig::llama_8b();
     let int8_model = ModelConfig::llama_8b().with_int8_kv();

@@ -25,13 +25,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "ablate_speculative",
         "Extension experiment: speculative decoding (§4.1.2)",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_speculative");
     println!("Extension: speculative decoding (Llama-8B, prompt 256)\n");
     let model = ModelConfig::llama_8b();
     let target = 64usize;

@@ -34,13 +34,12 @@ fn solver(row: bool, seq: bool) -> Solver<RealExecProvider> {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "ablate_strategies",
         "Ablation: partition-strategy families",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_strategies");
     println!("Ablation: strategy families (Llama-8B, prefill)\n");
     let model = ModelConfig::llama_8b();
     let variants: [(&str, bool, bool); 4] = [

@@ -25,13 +25,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "ablate_thermal",
         "Extension experiment: sustained-load thermal throttling",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("ablate_thermal");
     println!("Extension: thermal throttling over a 30-minute decode session (Llama-8B)\n");
     let model = ModelConfig::llama_8b();
     let thermal = ThermalModel::default();

@@ -19,10 +19,6 @@
 //!   ([`hetero_analyze::monitor_fleet_log`]) swept repeatedly over a
 //!   recorded robust-arm event log.
 //!
-//! Flags: `--devices N` (calibration fleet size, default 128),
-//! `--jobs N` (parallel-arm workers, default: available cores),
-//! `--json` (print the machine-readable snapshot on stdout).
-//!
 //! Wall-clock rates are machine-dependent by nature; everything else
 //! in the snapshot (session counts, FLOPs, event counts) is exact.
 //! `scripts/bench_sim.sh` wraps this binary, adds the `fleet_sweep`
@@ -31,7 +27,7 @@
 
 use std::time::Instant;
 
-use hetero_bench::{save_json, Table};
+use hetero_bench::{save_json, Flag, Table};
 use hetero_fleet::{calibrate_devices, FleetConfig, FleetSim, RouterPolicy};
 use hetero_soc::des::EventQueue;
 use hetero_soc::SimTime;
@@ -78,37 +74,24 @@ struct Args {
     json: bool,
 }
 
-fn usage() -> ! {
-    eprintln!("usage: bench_sim [--devices N] [--jobs N] [--json] [--analyze]");
-    std::process::exit(2);
-}
+const FLAGS: &[Flag] = &[
+    ("--devices", "N", "calibration fleet size (default 128)"),
+    (
+        "--jobs",
+        "N",
+        "workers for the parallel calibration arm (default: all cores)",
+    ),
+    (
+        "--json",
+        "",
+        "print the machine-readable snapshot on stdout",
+    ),
+];
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        devices: 128,
-        jobs: default_jobs(),
-        json: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--devices" => {
-                args.devices = hetero_bench::parse_flag("bench_sim", "--devices", &value());
-            }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("bench_sim", &value()),
-            "--json" => args.json = true,
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
 }
 
 /// Integer rate with a division-by-zero guard: `count` per elapsed
@@ -125,20 +108,16 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = hetero_bench::cli(
         "bench_sim",
         "simulator micro-benchmarks: the all-integer counters behind BENCH_sim.json",
-        &[
-            ("--devices N", "calibration fleet size (default 128)"),
-            (
-                "--jobs N",
-                "workers for the parallel calibration arm (default: all cores)",
-            ),
-            ("--json", "print the machine-readable snapshot on stdout"),
-        ],
+        FLAGS,
+        |a| Args {
+            devices: a.get("--devices").unwrap_or(128),
+            jobs: a.get("--jobs").unwrap_or_else(default_jobs),
+            json: a.has("--json"),
+        },
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
     println!(
         "Simulator micro-benchmarks ({} calibration devices, {} jobs)\n",
         args.devices, args.jobs

@@ -20,18 +20,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let jobs = hetero_bench::cli(
         "compare_socs",
         "Cross-SoC projection: HeteroLLM on the other Table-1 phone SoCs",
-        &[(
-            "--jobs N",
-            "workers for the per-SoC engine sessions (default 1; output is byte-identical \
-for every value)",
-        )],
+        &[hetero_bench::JOBS],
+        |a| a.get("--jobs").unwrap_or(1),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("compare_socs");
-    let jobs = hetero_bench::jobs_from_args("compare_socs");
     println!("Cross-SoC projection: Hetero-tensor on Table-1 phone SoCs (Llama-3B)\n");
     println!("(GPU/NPU throughput scaled from published specs by the 8 Gen 3's");
     println!(" achieved/theoretical ratios; memory and drivers held constant.)\n");

@@ -22,20 +22,13 @@
 //! verification overhead, and a clean `unverified-sink` lint of the
 //! verified sync schedules.
 //!
-//! Flags: `--seed N` (default 42), `--requests N` (default 24),
-//! `--jobs N` (workers for the two controller arms, default 1 —
-//! output is byte-identical for every value), `--json` (print the
-//! machine-readable comparison on stdout), `--integrity` (run the
-//! SDC arm), `--analyze` (standard
-//! pre-experiment solver lint), `--trace-out PATH` (record the
-//! adaptive arm through the observability layer and write a Chrome
-//! trace-event JSON — replans, fallbacks, and shed requests appear as
-//! `Control` spans on the Controller track), `--metrics` (print the
-//! adaptive arm's all-integer metrics snapshot as one JSON line).
+//! `--trace-out` records the adaptive arm as a Chrome trace-event JSON:
+//! replans, fallbacks, and shed requests appear as `Control` spans on
+//! the Controller track.
 
 use hetero_analyze::sweep::{integrity_lint_models, race_lint_degraded_session};
 use hetero_analyze::{check_fallback, PlanContext};
-use hetero_bench::{save_json, Table};
+use hetero_bench::{save_json, Flag, Gates, Table};
 use hetero_soc::disturb::{DisturbanceTrace, SdcTrace};
 use hetero_soc::SimTime;
 use heterollm::functional_engine::FunctionalHeteroEngine;
@@ -64,43 +57,31 @@ struct Args {
     metrics: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fault_sweep [--seed N] [--requests N] [--jobs N] [--json] [--integrity]\n\
-         \x20                  [--analyze] [--trace-out PATH] [--metrics]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        requests: 24,
-        jobs: 1,
-        json: false,
-        integrity: false,
-        trace_out: None,
-        metrics: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = hetero_bench::parse_flag("fault_sweep", "--seed", &value()),
-            "--requests" => {
-                args.requests = hetero_bench::parse_flag("fault_sweep", "--requests", &value());
-            }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("fault_sweep", &value()),
-            "--json" => args.json = true,
-            "--integrity" => args.integrity = true,
-            "--trace-out" => args.trace_out = Some(value()),
-            "--metrics" => args.metrics = true,
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
-}
+const FLAGS: &[Flag] = &[
+    ("--seed", "N", "disturbance/traffic seed (default 42)"),
+    ("--requests", "N", "requests per arm (default 24)"),
+    hetero_bench::JOBS,
+    (
+        "--json",
+        "",
+        "print the machine-readable comparison on stdout",
+    ),
+    (
+        "--integrity",
+        "",
+        "run the silent-data-corruption arm instead",
+    ),
+    (
+        "--trace-out",
+        "PATH",
+        "write a Chrome trace-event JSON of the adaptive arm",
+    ),
+    (
+        "--metrics",
+        "",
+        "print the adaptive arm's all-integer metrics snapshot as one JSON line",
+    ),
+];
 
 /// Machine-readable output of the `--integrity` arm. Every field is a
 /// token id, an integer counter, or [`SimTime`] nanoseconds, so
@@ -169,42 +150,60 @@ fn run_integrity(args: &Args) {
     let (clean, _) = functional_arm(IntegrityMode::Off, None);
     let (vc_tokens, vc) = functional_arm(IntegrityMode::Verify, None);
     let vc = vc.expect("verify summary");
-    assert_eq!(vc.detected, 0, "false positive on a clean run: {vc:?}");
-    assert_eq!(vc_tokens, clean, "verification must not change the math");
-    println!(
-        "clean run: {} tiles + {} KV rows verified, 0 false positives [verified]",
-        vc.tiles_verified, vc.kv_rows_verified
-    );
+    let mut gates = Gates::default();
+    let mut ok = gates.check(vc.detected == 0, || {
+        format!("false positive on a clean run: {vc:?}")
+    });
+    ok &= gates.check(vc_tokens == clean, || {
+        "verification must not change the math".into()
+    });
+    if ok {
+        println!(
+            "clean run: {} tiles + {} KV rows verified, 0 false positives [verified]",
+            vc.tiles_verified, vc.kv_rows_verified
+        );
+    }
 
     let (rec_tokens, rec) = functional_arm(IntegrityMode::Recover, Some(&sdc));
     let rec = rec.expect("recover summary");
-    assert!(rec.injected > 0, "no fault landed: {rec:?}");
-    assert_eq!(rec.detected, rec.injected, "missed corruption: {rec:?}");
-    assert_eq!(
-        rec.corrected, rec.detected,
-        "unrepaired corruption: {rec:?}"
-    );
-    assert_eq!(rec.uncorrectable, 0);
-    assert_eq!(
-        rec_tokens, clean,
-        "recovered run must reproduce the un-faulted tokens bit-for-bit"
-    );
-    println!(
-        "faulted run: {} injected, {} detected, {} corrected, output \
-         bit-identical to un-faulted run [verified]",
-        rec.injected, rec.detected, rec.corrected
-    );
+    let mut ok = gates.check(rec.injected > 0, || format!("no fault landed: {rec:?}"));
+    ok &= gates.check(rec.detected == rec.injected, || {
+        format!("missed corruption: {rec:?}")
+    });
+    ok &= gates.check(rec.corrected == rec.detected, || {
+        format!("unrepaired corruption: {rec:?}")
+    });
+    ok &= gates.check(rec.uncorrectable == 0, || {
+        format!("uncorrectable corruption: {rec:?}")
+    });
+    ok &= gates.check(rec_tokens == clean, || {
+        "recovered run must reproduce the un-faulted tokens bit-for-bit".into()
+    });
+    if ok {
+        println!(
+            "faulted run: {} injected, {} detected, {} corrected, output \
+             bit-identical to un-faulted run [verified]",
+            rec.injected, rec.detected, rec.corrected
+        );
+    }
 
     let (ver_tokens, ver) = functional_arm(IntegrityMode::Verify, Some(&sdc));
     let ver = ver.expect("verify summary");
-    assert!(ver.detected >= ver.injected, "missed corruption: {ver:?}");
-    assert_eq!(ver.corrected, 0);
-    assert_eq!(ver.uncorrectable, ver.detected);
-    assert_ne!(
-        ver_tokens, clean,
-        "verify-only must leave the corruption visible in the output"
-    );
-    println!("verify-only run: detects but does not repair; output diverges [verified]");
+    let mut ok = gates.check(ver.detected >= ver.injected, || {
+        format!("missed corruption: {ver:?}")
+    });
+    ok &= gates.check(ver.corrected == 0, || {
+        format!("verify-only repaired corruption: {ver:?}")
+    });
+    ok &= gates.check(ver.uncorrectable == ver.detected, || {
+        format!("verify-only must leave every detection uncorrectable: {ver:?}")
+    });
+    ok &= gates.check(ver_tokens != clean, || {
+        "verify-only must leave the corruption visible in the output".into()
+    });
+    if ok {
+        println!("verify-only run: detects but does not repair; output diverges [verified]");
+    }
 
     // Controller arms: the DES engines charge the calibrated detection
     // tax, and the quarantine policy prices recovery work.
@@ -227,20 +226,33 @@ fn run_integrity(args: &Args) {
     assert!(off.session.integrity.is_none());
     let cv = verify.session.integrity.clone().expect("verify summary");
     let cr = recover.session.integrity.expect("recover summary");
-    assert_eq!(cr.detected, cr.injected, "missed corruption: {cr:?}");
-    assert_eq!(cr.corrected, cr.detected, "unrepaired corruption: {cr:?}");
-    assert_eq!(cr.uncorrectable, 0);
-    assert_eq!(cv.detected, cv.injected);
-    assert_eq!(cv.corrected, 0);
-    assert_eq!(cv.uncorrectable, cv.detected);
+    gates.check(cr.detected == cr.injected, || {
+        format!("controller missed corruption: {cr:?}")
+    });
+    gates.check(cr.corrected == cr.detected, || {
+        format!("controller left corruption unrepaired: {cr:?}")
+    });
+    gates.check(cr.uncorrectable == 0, || {
+        format!("controller left corruption uncorrectable: {cr:?}")
+    });
+    gates.check(cv.detected == cv.injected, || {
+        format!("verify-only controller missed corruption: {cv:?}")
+    });
+    gates.check(cv.corrected == 0, || {
+        format!("verify-only controller repaired corruption: {cv:?}")
+    });
+    gates.check(cv.uncorrectable == cv.detected, || {
+        format!("verify-only controller must leave every detection uncorrectable: {cv:?}")
+    });
 
     // Verification tax stays under the issue's 15% TTFT ceiling.
     let (p99_off, p99_on) = (off.summary.p99_ttft, verify.summary.p99_ttft);
-    assert!(
-        p99_on.as_nanos() * 100 < p99_off.as_nanos() * 115,
-        "verify-on p99 TTFT {p99_on:?} inflates un-verified {p99_off:?} by ≥ 15%"
-    );
-    assert!(cv.verify_overhead_pct < 15, "{cv:?}");
+    let p99_ok = gates.check(p99_on.as_nanos() * 100 < p99_off.as_nanos() * 115, || {
+        format!("verify-on p99 TTFT {p99_on:?} inflates un-verified {p99_off:?} by ≥ 15%")
+    });
+    gates.check(cv.verify_overhead_pct < 15, || {
+        format!("verification overhead ≥ 15%: {cv:?}")
+    });
 
     let mut t = Table::new(&["metric", "verify", "recover"]);
     for (name, v, r) in [
@@ -270,11 +282,13 @@ fn run_integrity(args: &Args) {
         ms(cr.recompute_p99),
     ]);
     t.print();
-    println!(
-        "\nverify-on p99 TTFT {} ms vs un-verified {} ms (< 15% inflation) [verified]",
-        ms(p99_on),
-        ms(p99_off)
-    );
+    if p99_ok {
+        println!(
+            "\nverify-on p99 TTFT {} ms vs un-verified {} ms (< 15% inflation) [verified]",
+            ms(p99_on),
+            ms(p99_off)
+        );
+    }
 
     // Static gate: the verified sync schedules of every solver-chosen
     // plan pass the `unverified-sink` rule (and stay race-free).
@@ -286,7 +300,10 @@ fn run_integrity(args: &Args) {
         "verified schedules linted: {} checked, {} deny, {} warn",
         lint.summary.checked, lint.summary.deny, lint.summary.warn
     );
-    assert!(lint.is_clean(), "verified schedule failed the lint");
+    gates.check(lint.is_clean(), || {
+        "verified schedule failed the lint".into()
+    });
+    gates.finish("fault_sweep");
 
     let comparison = IntegrityComparison {
         seed: args.seed,
@@ -332,31 +349,20 @@ fn ms(t: SimTime) -> String {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = hetero_bench::cli(
         "fault_sweep",
         "adaptive vs static degradation under a seeded disturbance trace",
-        &[
-            ("--seed N", "disturbance/traffic seed (default 42)"),
-            ("--requests N", "requests per arm (default 24)"),
-            (
-                "--jobs N",
-                "workers for the two controller arms (default 1; output is byte-identical \
-for every value)",
-            ),
-            ("--json", "print the machine-readable comparison on stdout"),
-            ("--integrity", "run the silent-data-corruption arm instead"),
-            (
-                "--trace-out PATH",
-                "write a Chrome trace-event JSON of the adaptive arm",
-            ),
-            (
-                "--metrics",
-                "print the adaptive arm's all-integer metrics snapshot as one JSON line",
-            ),
-        ],
+        FLAGS,
+        |a| Args {
+            seed: a.get("--seed").unwrap_or(42),
+            requests: a.get("--requests").unwrap_or(24),
+            jobs: a.get("--jobs").unwrap_or(1),
+            json: a.has("--json"),
+            integrity: a.has("--integrity"),
+            trace_out: a.get("--trace-out"),
+            metrics: a.has("--metrics"),
+        },
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
     if args.integrity {
         run_integrity(&args);
         return;
@@ -470,17 +476,28 @@ for every value)",
         adaptive.fallback_plans.len(),
         findings
     );
-    assert_eq!(findings, 0, "degradation-time plans violated invariants");
+    let mut gates = Gates::default();
+    gates.check(findings == 0, || {
+        format!("degradation-time plans violated invariants ({findings} findings)")
+    });
 
     // The tentpole claim: adaptive degrades strictly less at the tail.
-    assert!(
-        a.p99_ttft < s.p99_ttft,
-        "adaptive p99 TTFT {:?} must degrade strictly less than static {:?}",
-        a.p99_ttft,
-        s.p99_ttft
-    );
-    assert!(a.slo_violation_rate() <= s.slo_violation_rate());
-    println!("adaptive p99 TTFT < static p99 TTFT under the same seeded trace [verified]");
+    let mut ok = gates.check(a.p99_ttft < s.p99_ttft, || {
+        format!(
+            "adaptive p99 TTFT {:?} must degrade strictly less than static {:?}",
+            a.p99_ttft, s.p99_ttft
+        )
+    });
+    ok &= gates.check(a.slo_violation_rate() <= s.slo_violation_rate(), || {
+        format!(
+            "adaptive SLO violation rate {:.2} exceeds static {:.2}",
+            a.slo_violation_rate(),
+            s.slo_violation_rate()
+        )
+    });
+    if ok {
+        println!("adaptive p99 TTFT < static p99 TTFT under the same seeded trace [verified]");
+    }
 
     // Happens-before race gate: replay the adaptive arm with the
     // concurrency event log enabled and push it through the
@@ -494,14 +511,14 @@ for every value)",
         "degraded-session concurrency log race-checked: {} deny, {} warn",
         race.summary.deny, race.summary.warn
     );
-    assert!(race.is_clean(), "degradation-time schedule raced");
+    gates.check(race.is_clean(), || "degradation-time schedule raced".into());
 
     if let Some(tl) = &timeline {
         tl.check_well_formed()
             .expect("adaptive timeline well-formed");
         if let Some(path) = &args.trace_out {
             let json = heterollm::obs::chrome::to_chrome_json(tl);
-            std::fs::write(path, json).expect("write trace");
+            hetero_bench::write_output("fault_sweep", path, json);
             println!(
                 "trace: {path} ({} spans, {} flows)",
                 tl.spans().len(),
@@ -516,6 +533,7 @@ for every value)",
             );
         }
     }
+    gates.finish("fault_sweep");
 
     let comparison = Comparison {
         seed: args.seed,

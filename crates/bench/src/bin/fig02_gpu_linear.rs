@@ -20,13 +20,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "fig02_gpu_linear",
         "Figure 2: GPU performance with varying tensor sizes",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig02_gpu_linear");
     println!("Figure 2: GPU effective throughput vs square GEMM size\n");
     let gpu = GpuModel::default();
     let mut t = Table::new(&["size", "time", "TFLOPS"]);

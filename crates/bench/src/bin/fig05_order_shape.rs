@@ -22,13 +22,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "fig05_order_shape",
         "Figure 5: order-sensitive and shape-sensitive NPU performance",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig05_order_shape");
     println!("Figure 5: order- and shape-sensitive NPU performance\n");
     let npu = NpuModel::default();
     let time_ms = |s: MatmulShape| {

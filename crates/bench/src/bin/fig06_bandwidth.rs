@@ -13,13 +13,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "fig06_bandwidth",
         "Figure 6: total memory bandwidth with single and multiple compute units",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig06_bandwidth");
     println!("Figure 6: achievable memory bandwidth per processor combination\n");
     let mem = MemorySystem::default();
     let combos: Vec<(&str, Vec<Backend>)> = vec![

@@ -14,13 +14,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "fig09_graph_gen",
         "Figure 9: NPU graph generation time for single operators across",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig09_graph_gen");
     println!("Figure 9: NPU graph generation time per operator\n");
     let model = CompileModel::default();
     let set = GraphSet::llama8b();

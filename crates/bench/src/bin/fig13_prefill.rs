@@ -6,7 +6,7 @@
 //! through the observability layer and writes a Chrome trace-event
 //! JSON (Perfetto-loadable; see `OBSERVABILITY.md`).
 
-use hetero_bench::{fmt, print_claims, save_json, Claim, Table};
+use hetero_bench::{fmt, print_claims, save_json, Claim, Flag, Table};
 use hetero_soc::sync::SyncMechanism;
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use serde::Serialize;
@@ -29,54 +29,22 @@ const ENGINES: [EngineKind; 7] = [
     EngineKind::HeteroTensor,
 ];
 
-fn parse_trace_out(bin: &str) -> (Option<String>, usize) {
-    let mut out = None;
-    let mut jobs = 1;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--trace-out" => {
-                out = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("{bin}: --trace-out needs a path");
-                    std::process::exit(2)
-                }));
-            }
-            "--jobs" => {
-                let raw = it.next().unwrap_or_else(|| {
-                    eprintln!("{bin}: --jobs needs a value");
-                    std::process::exit(2)
-                });
-                jobs = hetero_bench::parse_jobs(bin, &raw);
-            }
-            "--analyze" | "--help" | "-h" => {}
-            other => {
-                eprintln!("{bin}: unexpected argument '{other}'");
-                eprintln!("run with --help for usage");
-                std::process::exit(2);
-            }
-        }
-    }
-    (out, jobs)
-}
+const FLAGS: &[Flag] = &[
+    (
+        "--trace-out",
+        "PATH",
+        "also write a Chrome trace of Hetero-tensor prefilling Llama-8B at seq 256",
+    ),
+    hetero_bench::JOBS,
+];
 
 fn main() {
-    hetero_bench::maybe_help(
+    let (trace_out, jobs) = hetero_bench::cli(
         "fig13_prefill",
         "Figure 13: prefill speed across engines, models, and prompt lengths",
-        &[
-            (
-                "--trace-out PATH",
-                "also write a Chrome trace of Hetero-tensor prefilling Llama-8B at seq 256",
-            ),
-            (
-                "--jobs N",
-                "workers for the engine sessions (default 1; output is byte-identical for \
-every value)",
-            ),
-        ],
+        FLAGS,
+        |a| (a.get::<String>("--trace-out"), a.get("--jobs").unwrap_or(1)),
     );
-    hetero_bench::maybe_analyze();
-    let (trace_out, jobs) = parse_trace_out("fig13_prefill");
     println!("Figure 13: prefill speed (tokens/s)\n");
     let seqs = [64usize, 256, 1024];
 
@@ -210,7 +178,11 @@ every value)",
         let mut session = InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::llama_8b());
         let (_, tl) = session.run_observed(256, 0);
         tl.check_well_formed().expect("fig13 timeline well-formed");
-        std::fs::write(&path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
+        hetero_bench::write_output(
+            "fig13_prefill",
+            &path,
+            heterollm::obs::chrome::to_chrome_json(&tl),
+        );
         println!(
             "\n[trace: Hetero-tensor Llama-8B prefill@256 -> {path} ({} spans)]",
             tl.spans().len()

@@ -24,13 +24,12 @@ const METHODS: [EngineKind; 5] = [
 ];
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "fig14_misaligned",
         "Figure 14: prefill latency under misaligned sequence lengths",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig14_misaligned");
     println!("Figure 14: prefill latency at misaligned sequence lengths (Llama-8B, ms)\n");
     let model = ModelConfig::llama_8b();
     let mut t = Table::new(&[

@@ -7,7 +7,7 @@
 //! Chrome trace-event JSON (Perfetto-loadable; see
 //! `OBSERVABILITY.md`).
 
-use hetero_bench::{fmt, print_claims, save_json, Claim, Table};
+use hetero_bench::{fmt, print_claims, save_json, Claim, Flag, Table};
 use hetero_soc::sync::SyncMechanism;
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 use serde::Serialize;
@@ -28,54 +28,22 @@ const ENGINES: [EngineKind; 6] = [
     EngineKind::HeteroTensor,
 ];
 
-fn parse_trace_out(bin: &str) -> (Option<String>, usize) {
-    let mut out = None;
-    let mut jobs = 1;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--trace-out" => {
-                out = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("{bin}: --trace-out needs a path");
-                    std::process::exit(2)
-                }));
-            }
-            "--jobs" => {
-                let raw = it.next().unwrap_or_else(|| {
-                    eprintln!("{bin}: --jobs needs a value");
-                    std::process::exit(2)
-                });
-                jobs = hetero_bench::parse_jobs(bin, &raw);
-            }
-            "--analyze" | "--help" | "-h" => {}
-            other => {
-                eprintln!("{bin}: unexpected argument '{other}'");
-                eprintln!("run with --help for usage");
-                std::process::exit(2);
-            }
-        }
-    }
-    (out, jobs)
-}
+const FLAGS: &[Flag] = &[
+    (
+        "--trace-out",
+        "PATH",
+        "also write a Chrome trace of Hetero-tensor decoding 16 tokens on Llama-8B",
+    ),
+    hetero_bench::JOBS,
+];
 
 fn main() {
-    hetero_bench::maybe_help(
+    let (trace_out, jobs) = hetero_bench::cli(
         "fig16_decode",
         "Figure 16: decoding rate of all engines across the four models",
-        &[
-            (
-                "--trace-out PATH",
-                "also write a Chrome trace of Hetero-tensor decoding 16 tokens on Llama-8B",
-            ),
-            (
-                "--jobs N",
-                "workers for the engine sessions (default 1; output is byte-identical for \
-every value)",
-            ),
-        ],
+        FLAGS,
+        |a| (a.get::<String>("--trace-out"), a.get("--jobs").unwrap_or(1)),
     );
-    hetero_bench::maybe_analyze();
-    let (trace_out, jobs) = parse_trace_out("fig16_decode");
     println!("Figure 16: decoding rate (tokens/s), prompt length 256\n");
     let models = ModelConfig::evaluation_models();
     let mut t = Table::new(&[
@@ -170,7 +138,11 @@ every value)",
         let mut session = InferenceSession::new(EngineKind::HeteroTensor, &ModelConfig::llama_8b());
         let (_, tl) = session.run_observed(256, 16);
         tl.check_well_formed().expect("fig16 timeline well-formed");
-        std::fs::write(&path, heterollm::obs::chrome::to_chrome_json(&tl)).expect("write trace");
+        hetero_bench::write_output(
+            "fig16_decode",
+            &path,
+            heterollm::obs::chrome::to_chrome_json(&tl),
+        );
         println!(
             "\n[trace: Hetero-tensor Llama-8B decode 16@256 -> {path} ({} spans)]",
             tl.spans().len()

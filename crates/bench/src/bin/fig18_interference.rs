@@ -20,13 +20,12 @@ struct Point {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "fig18_interference",
         "Figure 18: GPU interference between inference and a 60 FPS render workload",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("fig18_interference");
     println!("Figure 18: prefill with a concurrent game (Llama-8B, seq 256)\n");
     let model = ModelConfig::llama_8b();
     let game = RenderWorkload::game_60fps();

@@ -12,23 +12,13 @@
 //!
 //! With a fixed `--seed`, output is byte-identical across runs — CI
 //! runs the binary twice at 1000 devices and compares (`cmp`), then
-//! gates on the in-binary asserts: zero unrecovered requests in the
+//! gates on the in-binary checks: zero unrecovered requests in the
 //! robust arm, strictly better p999 TTFT, SLO attainment, and
 //! goodput than round-robin, and a clean `retry-storm` /
-//! `shed-starvation` fleet lint.
-//!
-//! Flags: `--seed N` (default 42), `--devices N` (default 256),
-//! `--requests N` (default 3000), `--jobs N` (workers for the
-//! per-device calibration sessions, default 1 — output is
-//! byte-identical for every value; CI `cmp`s `--jobs 1` against
-//! `--jobs 4`), `--json` (print the
-//! machine-readable comparison on stdout), `--events-out FILE` (also
-//! record the typed fleet event-log pair, write it as JSON, and gate
-//! the arms through the past-time-LTL monitor: robust must certify
-//! clean, round-robin must reproduce its known violations),
-//! `--analyze` (standard pre-experiment solver lint).
+//! `shed-starvation` fleet lint. A failed gate is named on stderr and
+//! the binary exits 1.
 
-use hetero_bench::{save_json, Table};
+use hetero_bench::{save_json, Flag, Gates, Table};
 use hetero_fleet::{FleetComparison, FleetConfig, FleetLogPair, FleetSim, RetryPolicy};
 
 struct Args {
@@ -40,43 +30,22 @@ struct Args {
     events_out: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: fleet_sweep [--seed N] [--devices N] [--requests N] [--jobs N] [--json] \
-         [--events-out FILE] [--analyze]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        devices: 256,
-        requests: 3000,
-        jobs: 1,
-        json: false,
-        events_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = hetero_bench::parse_flag("fleet_sweep", "--seed", &value()),
-            "--devices" => {
-                args.devices = hetero_bench::parse_flag("fleet_sweep", "--devices", &value());
-            }
-            "--requests" => {
-                args.requests = hetero_bench::parse_flag("fleet_sweep", "--requests", &value());
-            }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("fleet_sweep", &value()),
-            "--json" => args.json = true,
-            "--events-out" => args.events_out = Some(value()),
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
-}
+const FLAGS: &[Flag] = &[
+    ("--seed", "N", "workload/fault/jitter seed (default 42)"),
+    ("--devices", "N", "fleet size (default 256)"),
+    ("--requests", "N", "requests offered (default 3000)"),
+    hetero_bench::JOBS,
+    (
+        "--json",
+        "",
+        "print the machine-readable comparison on stdout",
+    ),
+    (
+        "--events-out",
+        "FILE",
+        "record the typed event-log pair as JSON and run the temporal monitor gate",
+    ),
+];
 
 fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
@@ -86,54 +55,42 @@ fn pct_ppm(ppm: u64) -> String {
     format!("{:.2}", ppm as f64 / 10_000.0)
 }
 
-/// Gate failures collected across the run; the binary names each on
-/// stderr and exits 1 if any fired.
-#[derive(Default)]
-struct Gates(Vec<String>);
-
-impl Gates {
-    fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) {
-        if !ok {
-            self.0.push(failure());
-        }
-    }
-}
-
-fn gate(cmp: &FleetComparison, gates: &mut Gates) {
+fn gate(cmp: &FleetComparison, gates: &mut Gates) -> bool {
     let (r, n) = (&cmp.robust, &cmp.naive);
-    gates.check(r.lost == 0, || {
+    let mut ok = gates.check(r.lost == 0, || {
         format!(
             "robust arm stranded {} requests: retry/breaker/probe layers failed to recover",
             r.lost
         )
     });
-    gates.check(n.lost > 0, || {
+    ok &= gates.check(n.lost > 0, || {
         "fault plan never bit the naive arm; storm too weak to gate on".into()
     });
-    gates.check(r.ttft_p999_ns < n.ttft_p999_ns, || {
+    ok &= gates.check(r.ttft_p999_ns < n.ttft_p999_ns, || {
         format!(
             "robust p999 TTFT {} must beat round-robin {}",
             r.ttft_p999_ns, n.ttft_p999_ns
         )
     });
-    gates.check(r.attainment_ppm > n.attainment_ppm, || {
+    ok &= gates.check(r.attainment_ppm > n.attainment_ppm, || {
         format!(
             "robust SLO attainment {} ppm must beat round-robin {} ppm",
             r.attainment_ppm, n.attainment_ppm
         )
     });
-    gates.check(r.goodput > n.goodput, || {
+    ok &= gates.check(r.goodput > n.goodput, || {
         format!(
             "robust goodput {} must beat round-robin {}",
             r.goodput, n.goodput
         )
     });
-    gates.check(r.retries > 0, || {
+    ok &= gates.check(r.retries > 0, || {
         "no retry fired under the standard fault plan".into()
     });
-    gates.check(r.breaker_trips > 0, || {
+    ok &= gates.check(r.breaker_trips > 0, || {
         "no breaker tripped under the standard fault plan".into()
     });
+    ok
 }
 
 fn fleet_lint(cmp: &FleetComparison, gates: &mut Gates) {
@@ -168,9 +125,8 @@ fn fleet_lint(cmp: &FleetComparison, gates: &mut Gates) {
 /// is continuously proven able to detect what the naive design does
 /// wrong, not just to pass the good one.
 fn monitor_gate(pair: &FleetLogPair, gates: &mut Gates) {
-    let failed_before = gates.0.len();
     let robust = hetero_analyze::monitor_fleet_log(&pair.robust);
-    gates.check(robust.findings.is_empty(), || {
+    let mut ok = gates.check(robust.findings.is_empty(), || {
         format!("robust arm violated temporal specs: {:?}", robust.findings)
     });
     let naive = hetero_analyze::monitor_fleet_log(&pair.naive);
@@ -178,11 +134,11 @@ fn monitor_gate(pair: &FleetLogPair, gates: &mut Gates) {
         hetero_analyze::rules::CENSUS_STALENESS,
         hetero_analyze::rules::BROWNOUT_UNSHED,
     ] {
-        gates.check(naive.findings.iter().any(|d| d.rule_id == expected), || {
+        ok &= gates.check(naive.findings.iter().any(|d| d.rule_id == expected), || {
             format!("round-robin arm no longer trips `{expected}`; naive-violation evidence lost")
         });
     }
-    if gates.0.len() == failed_before {
+    if ok {
         println!(
             "temporal monitor: robust clean ({} events, {} spec instances); round-robin \
              violates [census-staleness, brownout-unshed] [verified]",
@@ -192,27 +148,22 @@ fn monitor_gate(pair: &FleetLogPair, gates: &mut Gates) {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = hetero_bench::cli(
         "fleet_sweep",
         "fleet-scale fault-tolerant serving: robust router vs round-robin under seeded fault storms",
-        &[
-            ("--seed N", "workload/fault/jitter seed (default 42)"),
-            ("--devices N", "fleet size (default 256)"),
-            ("--requests N", "requests offered (default 3000)"),
-            (
-                "--jobs N",
-                "workers for the per-device calibration sessions (default 1; output is \
-byte-identical for every value)",
-            ),
-            ("--json", "print the machine-readable comparison on stdout"),
-            (
-                "--events-out FILE",
-                "record the typed event-log pair as JSON and run the temporal monitor gate",
-            ),
-        ],
+        FLAGS,
+        |a| Args {
+            seed: a.get("--seed").unwrap_or(42),
+            devices: match a.get("--devices") {
+                Some(0) => a.bad_value("--devices"),
+                d => d.unwrap_or(256),
+            },
+            requests: a.get("--requests").unwrap_or(3000),
+            jobs: a.get("--jobs").unwrap_or(1),
+            json: a.has("--json"),
+            events_out: a.get("--events-out"),
+        },
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
     println!(
         "Fleet sweep: robust router vs round-robin (InternLM-1.8B, {} devices, \
          {} requests, seed {})\n",
@@ -279,8 +230,7 @@ byte-identical for every value)",
     );
 
     let mut gates = Gates::default();
-    gate(&cmp, &mut gates);
-    if gates.0.is_empty() {
+    if gate(&cmp, &mut gates) {
         println!(
             "robust arm: 0 unrecovered, p999 TTFT / attainment / goodput all \
              strictly better than round-robin [verified]"
@@ -290,16 +240,11 @@ byte-identical for every value)",
     if let (Some(path), Some(pair)) = (&args.events_out, &pair) {
         let mut text = serde_json::to_string(pair).expect("serialize event-log pair");
         text.push('\n');
-        std::fs::write(path, text).expect("write event log");
+        hetero_bench::write_output("fleet_sweep", path, text);
         println!("events: wrote {path}");
         monitor_gate(pair, &mut gates);
     }
-    if !gates.0.is_empty() {
-        for failure in &gates.0 {
-            eprintln!("fleet_sweep: gate failed: {failure}");
-        }
-        std::process::exit(1);
-    }
+    gates.finish("fleet_sweep");
 
     if args.json {
         println!(

@@ -12,6 +12,7 @@
 //! all-integer metrics snapshot as one JSON line. Both are
 //! deterministic: same arguments, byte-identical output.
 
+use hetero_bench::Flag;
 use hetero_soc::sync::SyncMechanism;
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
 
@@ -25,89 +26,50 @@ struct Args {
     metrics: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: heterollm_sim [--model MODEL] [--engine ENGINE] [--prompt N] [--decode N]\n\
-         \x20                    [--sync fast|driver] [--trace-out PATH] [--metrics]\n\
-         \n\
-         MODEL:  llama-8b | llama-7b | llama-3b | internlm-1.8b | mistral-7b | qwen2-1.5b\n\
-         ENGINE: hetero-tensor | hetero-layer | ppl-opencl | mlc | mnn-opencl |\n\
-                 llama-cpp | padding | online-prepare | pipe | chunked-prefill | mllm-npu"
-    );
-    std::process::exit(2);
-}
-
-fn parse_model(s: &str) -> Option<ModelConfig> {
-    ModelConfig::by_name(s)
-}
-
-fn parse_engine(s: &str) -> Option<EngineKind> {
-    s.parse().ok()
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        model: ModelConfig::llama_8b(),
-        engine: EngineKind::HeteroTensor,
-        prompt: 256,
-        decode: 64,
-        sync: SyncMechanism::Fast,
-        trace_out: None,
-        metrics: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--model" => args.model = parse_model(&value()).unwrap_or_else(|| usage()),
-            "--engine" => args.engine = parse_engine(&value()).unwrap_or_else(|| usage()),
-            "--prompt" => {
-                args.prompt = hetero_bench::parse_flag("heterollm_sim", "--prompt", &value());
-            }
-            "--decode" => {
-                args.decode = hetero_bench::parse_flag("heterollm_sim", "--decode", &value());
-            }
-            "--sync" => {
-                args.sync = match value().as_str() {
-                    "fast" => SyncMechanism::Fast,
-                    "driver" => SyncMechanism::Driver,
-                    _ => usage(),
-                }
-            }
-            "--trace-out" => args.trace_out = Some(value()),
-            "--metrics" => args.metrics = true,
-            "--analyze" => {} // handled by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
-}
+const FLAGS: &[Flag] = &[
+    (
+        "--model",
+        "MODEL",
+        "model config, one of llama-8b, llama-7b, llama-3b, internlm-1.8b, mistral-7b, \
+         qwen2-1.5b (default llama-8b)",
+    ),
+    (
+        "--engine",
+        "ENGINE",
+        "engine under test, one of hetero-tensor, hetero-layer, ppl-opencl, mlc, mnn-opencl, \
+         llama-cpp, padding, online-prepare, pipe, chunked-prefill, mllm-npu \
+         (default hetero-tensor)",
+    ),
+    ("--prompt", "N", "prompt tokens to prefill (default 256)"),
+    ("--decode", "N", "tokens to decode (default 64)"),
+    ("--sync", "fast|driver", "sync mechanism (default fast)"),
+    (
+        "--trace-out",
+        "PATH",
+        "write a Chrome trace-event JSON of the run (Perfetto-loadable)",
+    ),
+    (
+        "--metrics",
+        "",
+        "print the all-integer metrics snapshot as one JSON line",
+    ),
+];
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = hetero_bench::cli(
         "heterollm_sim",
         "simulate one prefill+decode session on a chosen engine/model",
-        &[
-            ("--model MODEL", "model config (default llama-8b)"),
-            (
-                "--engine ENGINE",
-                "engine under test (default hetero-tensor)",
-            ),
-            ("--prompt N", "prompt tokens to prefill (default 256)"),
-            ("--decode N", "tokens to decode (default 64)"),
-            ("--sync fast|driver", "sync mechanism (default fast)"),
-            (
-                "--trace-out PATH",
-                "write a Chrome trace-event JSON of the run (Perfetto-loadable)",
-            ),
-            (
-                "--metrics",
-                "print the all-integer metrics snapshot as one JSON line",
-            ),
-        ],
+        FLAGS,
+        |a| Args {
+            model: a.get("--model").unwrap_or_else(ModelConfig::llama_8b),
+            engine: a.get("--engine").unwrap_or(EngineKind::HeteroTensor),
+            prompt: a.get("--prompt").unwrap_or(256),
+            decode: a.get("--decode").unwrap_or(64),
+            sync: a.get("--sync").unwrap_or(SyncMechanism::Fast),
+            trace_out: a.get("--trace-out"),
+            metrics: a.has("--metrics"),
+        },
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
     println!(
         "simulating {} on {} ({} prompt tokens, {} decode tokens, {:?} sync)\n",
         args.engine.name(),
@@ -147,10 +109,7 @@ fn main() {
         }
         if let Some(path) = &args.trace_out {
             let json = heterollm::obs::chrome::to_chrome_json(tl);
-            std::fs::write(path, json).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            hetero_bench::write_output("heterollm_sim", path, json);
             println!(
                 "trace   : {path} ({} spans, {} flows)",
                 tl.spans().len(),

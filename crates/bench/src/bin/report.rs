@@ -145,13 +145,12 @@ fn row(experiment: &'static str, quantity: &str, paper_val: f64, measured: f64, 
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "report",
         "run every experiment binary and regenerate EXPERIMENTS.md",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("report");
     run_all();
 
     let mut rows: Vec<Row> = Vec::new();

@@ -20,21 +20,13 @@
 //! lint, every master event log is swept through the past-time-LTL
 //! monitor (promotion-legality, rollback-completeness, blast-radius),
 //! and the rollout ladder automaton is exhaustively model-checked for
-//! rollback reachability — all gated in-binary.
+//! rollback reachability — all gated in-binary: every failed gate is
+//! named on stderr and the binary exits 1.
 //!
 //! With a fixed `--seed`, output is byte-identical across runs — CI
 //! runs the binary twice and `cmp`s the recorded event logs.
-//!
-//! Flags: `--seed N` (default 42), `--devices N` (default 256),
-//! `--requests N` (default 1500, per stage window), `--jobs N`
-//! (workers for the per-device calibration sessions, default 1 —
-//! output is byte-identical for every value), `--json` (print
-//! the machine-readable report pair on stdout), `--events-out FILE`
-//! (record the master event log of both rollouts as a JSON
-//! `RolloutLogSet`), `--analyze` (standard pre-experiment solver
-//! lint).
 
-use hetero_bench::{save_json, Table};
+use hetero_bench::{save_json, Flag, Gates, Table};
 use hetero_fleet::{
     FleetConfig, FleetEventLog, FleetSim, PolicyRevision, RolloutConfig, RolloutController,
     RolloutLogSet, RolloutReport,
@@ -50,43 +42,26 @@ struct Args {
     events_out: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: rollout_sweep [--seed N] [--devices N] [--requests N] [--jobs N] [--json] \
-         [--events-out FILE] [--analyze]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        devices: 256,
-        requests: 1500,
-        jobs: 1,
-        json: false,
-        events_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--seed" => args.seed = hetero_bench::parse_flag("rollout_sweep", "--seed", &value()),
-            "--devices" => {
-                args.devices = hetero_bench::parse_flag("rollout_sweep", "--devices", &value());
-            }
-            "--requests" => {
-                args.requests = hetero_bench::parse_flag("rollout_sweep", "--requests", &value());
-            }
-            "--jobs" => args.jobs = hetero_bench::parse_jobs("rollout_sweep", &value()),
-            "--json" => args.json = true,
-            "--events-out" => args.events_out = Some(value()),
-            "--analyze" => {} // consumed by maybe_analyze
-            _ => usage(),
-        }
-    }
-    args
-}
+const FLAGS: &[Flag] = &[
+    ("--seed", "N", "workload/fault/cohort seed (default 42)"),
+    ("--devices", "N", "fleet size (default 256)"),
+    (
+        "--requests",
+        "N",
+        "requests offered per stage window (default 1500)",
+    ),
+    hetero_bench::JOBS,
+    (
+        "--json",
+        "",
+        "print the machine-readable report pair on stdout",
+    ),
+    (
+        "--events-out",
+        "FILE",
+        "record both rollouts' master event logs as a JSON RolloutLogSet",
+    ),
+];
 
 fn pct_ppm(ppm: u64) -> String {
     format!("{:.2}", ppm as f64 / 10_000.0)
@@ -139,73 +114,83 @@ fn stage_table(report: &RolloutReport) {
 /// The regressing candidate must be caught at the 1% stage: bounded
 /// blast radius, zero stranded requests, and a rollback decided within
 /// one stage window.
-fn gate_bad(report: &RolloutReport) {
-    assert_eq!(
-        report.outcome, "rolled-back",
-        "the 2.5x-regressing candidate was not rolled back"
-    );
-    assert_eq!(
-        report.final_stage, 1,
-        "regression escaped the 1% canary stage (reached stage {})",
-        report.final_stage
-    );
-    assert!(
-        report.exposed_ppm < 20_000,
-        "blast radius {} ppm breaches the 2% budget",
-        report.exposed_ppm
-    );
-    assert_eq!(
-        report.lost, 0,
-        "rollback stranded {} requests mid-flight",
-        report.lost
-    );
-    assert!(
-        report.rollback_latency_ns > 0,
-        "rolled back without a recorded stage-open-to-decision latency"
-    );
+fn gate_bad(report: &RolloutReport, gates: &mut Gates) -> bool {
+    let mut ok = gates.check(report.outcome == "rolled-back", || {
+        "the 2.5x-regressing candidate was not rolled back".into()
+    });
+    ok &= gates.check(report.final_stage == 1, || {
+        format!(
+            "regression escaped the 1% canary stage (reached stage {})",
+            report.final_stage
+        )
+    });
+    ok &= gates.check(report.exposed_ppm < 20_000, || {
+        format!(
+            "blast radius {} ppm breaches the 2% budget",
+            report.exposed_ppm
+        )
+    });
+    ok &= gates.check(report.lost == 0, || {
+        format!("rollback stranded {} requests mid-flight", report.lost)
+    });
+    ok &= gates.check(report.rollback_latency_ns > 0, || {
+        "rolled back without a recorded stage-open-to-decision latency".into()
+    });
+    ok
 }
 
 /// The genuinely better candidate must ride the whole ladder.
-fn gate_good(report: &RolloutReport, stages: u32) {
-    assert_eq!(
-        report.outcome,
-        "promoted",
-        "the strictly better candidate failed to promote: {:?}",
-        report
-            .stages
-            .iter()
-            .map(|s| s.verdict.as_str())
-            .collect::<Vec<_>>()
-    );
-    assert_eq!(report.final_stage, stages, "promotion skipped a stage");
-    assert_eq!(
-        report.exposed_ppm, 1_000_000,
-        "a promoted candidate must end at 100% exposure"
-    );
-    assert!(
+fn gate_good(report: &RolloutReport, stages: u32, gates: &mut Gates) -> bool {
+    let mut ok = gates.check(report.outcome == "promoted", || {
+        format!(
+            "the strictly better candidate failed to promote: {:?}",
+            report
+                .stages
+                .iter()
+                .map(|s| s.verdict.as_str())
+                .collect::<Vec<_>>()
+        )
+    });
+    ok &= gates.check(report.final_stage == stages, || {
+        format!(
+            "promotion skipped a stage (final stage {} of {stages})",
+            report.final_stage
+        )
+    });
+    ok &= gates.check(report.exposed_ppm == 1_000_000, || {
+        format!(
+            "a promoted candidate must end at 100% exposure, not {} ppm",
+            report.exposed_ppm
+        )
+    });
+    ok &= gates.check(
         report.final_attainment_ppm >= report.baseline_attainment_ppm,
-        "promoted fleet attainment {} ppm regressed below baseline {} ppm",
-        report.final_attainment_ppm,
-        report.baseline_attainment_ppm
+        || {
+            format!(
+                "promoted fleet attainment {} ppm regressed below baseline {} ppm",
+                report.final_attainment_ppm, report.baseline_attainment_ppm
+            )
+        },
     );
-    assert_eq!(
-        report.lost, 0,
-        "promotion stranded {} requests",
-        report.lost
-    );
+    ok &= gates.check(report.lost == 0, || {
+        format!("promotion stranded {} requests", report.lost)
+    });
+    ok
 }
 
 /// Evidence lint: re-derive every stage verdict from the echoed
 /// thresholds, independently of the controller.
-fn evidence_gate(report: &RolloutReport, label: &str) {
+fn evidence_gate(report: &RolloutReport, label: &str, gates: &mut Gates) -> bool {
     let diags = hetero_analyze::check_rollout_report(report, &format!("rollout_sweep/{label}"));
     for d in &diags {
         eprintln!("{d}");
     }
-    assert!(
-        diags.is_empty(),
-        "{label}: rollout evidence lint failed (rollout-stuck / rollback-missed / canary-starved)"
-    );
+    gates.check(diags.is_empty(), || {
+        format!(
+            "{label}: rollout evidence lint failed (rollout-stuck / rollback-missed / \
+             canary-starved)"
+        )
+    })
 }
 
 /// Temporal gate: both master logs sweep clean through every
@@ -213,31 +198,42 @@ fn evidence_gate(report: &RolloutReport, label: &str) {
 /// log's rollout window — and the rollout ladder automaton proves
 /// promotion reachable and rollback reachable from every non-terminal
 /// state.
-fn monitor_gate(logs: &[(&str, &FleetEventLog)]) {
+fn monitor_gate(logs: &[(&str, &FleetEventLog)], gates: &mut Gates) {
     for (label, log) in logs {
         let verdict = hetero_analyze::monitor_fleet_log(log);
-        assert!(
-            verdict.findings.is_empty(),
-            "{label}: rollout log violated temporal specs: {:?}",
-            verdict.findings
-        );
-        println!(
-            "temporal monitor [{label}]: clean ({} events, {} spec instances)",
-            verdict.events, verdict.instances
-        );
+        if gates.check(verdict.findings.is_empty(), || {
+            format!(
+                "{label}: rollout log violated temporal specs: {:?}",
+                verdict.findings
+            )
+        }) {
+            println!(
+                "temporal monitor [{label}]: clean ({} events, {} spec instances)",
+                verdict.events, verdict.instances
+            );
+        }
     }
     let (cert, diags) = hetero_analyze::check_rollout_product(
         &hetero_analyze::RolloutAutomata::standard(),
         &hetero_analyze::RolloutOptions::default(),
         "rollout_sweep/ladder",
     );
-    assert!(diags.is_empty(), "{diags:?}");
-    assert!(cert.promote_reachable && cert.rollback_reachable);
-    println!(
-        "model check [ladder]: {} states, {} transitions, promote-reachable={}, \
-         rollback-reachable from every non-terminal state={}",
-        cert.states, cert.transitions, cert.promote_reachable, cert.rollback_reachable
-    );
+    let mut ok = gates.check(diags.is_empty(), || {
+        format!("rollout ladder model check failed: {diags:?}")
+    });
+    ok &= gates.check(cert.promote_reachable && cert.rollback_reachable, || {
+        format!(
+            "rollout ladder: promote-reachable={}, rollback-reachable={}",
+            cert.promote_reachable, cert.rollback_reachable
+        )
+    });
+    if ok {
+        println!(
+            "model check [ladder]: {} states, {} transitions, promote-reachable={}, \
+             rollback-reachable from every non-terminal state={}",
+            cert.states, cert.transitions, cert.promote_reachable, cert.rollback_reachable
+        );
+    }
 }
 
 #[derive(Serialize)]
@@ -250,30 +246,19 @@ struct SweepSummary {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = hetero_bench::cli(
         "rollout_sweep",
         "staged canary rollout with auto-rollback: regressing vs improving candidate policies",
-        &[
-            ("--seed N", "workload/fault/cohort seed (default 42)"),
-            ("--devices N", "fleet size (default 256)"),
-            (
-                "--requests N",
-                "requests offered per stage window (default 1500)",
-            ),
-            (
-                "--jobs N",
-                "workers for the per-device calibration sessions (default 1; output is \
-byte-identical for every value)",
-            ),
-            ("--json", "print the machine-readable report pair on stdout"),
-            (
-                "--events-out FILE",
-                "record both rollouts' master event logs as a JSON RolloutLogSet",
-            ),
-        ],
+        FLAGS,
+        |a| Args {
+            seed: a.get("--seed").unwrap_or(42),
+            devices: a.get("--devices").unwrap_or(256),
+            requests: a.get("--requests").unwrap_or(1500),
+            jobs: a.get("--jobs").unwrap_or(1),
+            json: a.has("--json"),
+            events_out: a.get("--events-out"),
+        },
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
     println!(
         "Rollout sweep: staged canary ladder 1% -> 10% -> 50% -> 100% \
          ({} devices, {} requests/window, seed {})\n",
@@ -301,36 +286,46 @@ byte-identical for every value)",
     let (good, good_log) = ctl.run(&good_candidate);
     stage_table(&good);
 
-    gate_bad(&bad);
-    println!(
-        "bad candidate: rolled back at stage 1 in {} ms, {} of {} devices exposed \
-         ({}% < 2% blast budget), 0 stranded [verified]",
-        ms(bad.rollback_latency_ns),
-        bad.exposed_devices,
-        bad.devices,
-        pct_ppm(bad.exposed_ppm),
-    );
-    gate_good(&good, stages);
-    println!(
-        "good candidate: promoted to 100% across {} stages, fleet attainment \
-         {}% >= baseline {}% [verified]",
-        stages,
-        pct_ppm(good.final_attainment_ppm),
-        pct_ppm(good.baseline_attainment_ppm),
-    );
-    evidence_gate(&bad, "npu-inversion");
-    evidence_gate(&good, "tuned-partition");
-    println!("evidence lint: both reports re-derive clean from echoed thresholds [verified]");
+    let mut gates = Gates::default();
+    if gate_bad(&bad, &mut gates) {
+        println!(
+            "bad candidate: rolled back at stage 1 in {} ms, {} of {} devices exposed \
+             ({}% < 2% blast budget), 0 stranded [verified]",
+            ms(bad.rollback_latency_ns),
+            bad.exposed_devices,
+            bad.devices,
+            pct_ppm(bad.exposed_ppm),
+        );
+    }
+    if gate_good(&good, stages, &mut gates) {
+        println!(
+            "good candidate: promoted to 100% across {} stages, fleet attainment \
+             {}% >= baseline {}% [verified]",
+            stages,
+            pct_ppm(good.final_attainment_ppm),
+            pct_ppm(good.baseline_attainment_ppm),
+        );
+    }
+    // `&`, not `&&`: both lints run and report their findings.
+    if evidence_gate(&bad, "npu-inversion", &mut gates)
+        & evidence_gate(&good, "tuned-partition", &mut gates)
+    {
+        println!("evidence lint: both reports re-derive clean from echoed thresholds [verified]");
+    }
     if let Some(path) = &args.events_out {
         let set = RolloutLogSet {
             runs: vec![bad_log.clone(), good_log.clone()],
         };
         let mut text = serde_json::to_string(&set).expect("serialize rollout log set");
         text.push('\n');
-        std::fs::write(path, text).expect("write rollout event logs");
+        hetero_bench::write_output("rollout_sweep", path, text);
         println!("events: wrote {path}");
     }
-    monitor_gate(&[("npu-inversion", &bad_log), ("tuned-partition", &good_log)]);
+    monitor_gate(
+        &[("npu-inversion", &bad_log), ("tuned-partition", &good_log)],
+        &mut gates,
+    );
+    gates.finish("rollout_sweep");
 
     let summary = SweepSummary {
         seed: args.seed,

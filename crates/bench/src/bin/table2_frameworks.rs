@@ -91,13 +91,12 @@ fn rows() -> Vec<FrameworkRow> {
 }
 
 fn main() {
-    hetero_bench::maybe_help(
+    hetero_bench::cli(
         "table2_frameworks",
         "Table 2: capability matrix of mobile-side inference frameworks",
         &[],
+        |_| (),
     );
-    hetero_bench::maybe_analyze();
-    hetero_bench::expect_no_flags("table2_frameworks");
     println!("Table 2: Mobile-side inference engine capability matrix\n");
     let rows = rows();
     let mut t = Table::new(&[

@@ -14,6 +14,7 @@
 //! header row marks prefill vs decode. `--trace-out` additionally
 //! writes the full-fidelity Chrome trace-event JSON of the same run.
 
+use hetero_bench::Flag;
 use hetero_soc::sync::SyncMechanism;
 use heterollm::obs::{swimlane, MetricsRegistry};
 use heterollm::{EngineKind, InferenceSession, ModelConfig};
@@ -28,76 +29,53 @@ struct Args {
     trace_out: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: timeline [--model MODEL] [--engine ENGINE] [--prompt N] [--decode N]\n\
-         \x20               [--sync fast|driver] [--width COLS] [--trace-out PATH]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        model: ModelConfig::internlm_1_8b(),
-        engine: EngineKind::HeteroTensor,
-        prompt: 256,
-        decode: 8,
-        sync: SyncMechanism::Fast,
-        width: 100,
-        trace_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--model" => args.model = ModelConfig::by_name(&value()).unwrap_or_else(|| usage()),
-            "--engine" => args.engine = hetero_bench::parse_flag("timeline", "--engine", &value()),
-            "--prompt" => args.prompt = hetero_bench::parse_flag("timeline", "--prompt", &value()),
-            "--decode" => args.decode = hetero_bench::parse_flag("timeline", "--decode", &value()),
-            "--sync" => {
-                args.sync = match value().as_str() {
-                    "fast" => SyncMechanism::Fast,
-                    "driver" => SyncMechanism::Driver,
-                    _ => usage(),
-                }
-            }
-            "--width" => args.width = hetero_bench::parse_flag("timeline", "--width", &value()),
-            "--trace-out" => args.trace_out = Some(value()),
-            "--analyze" => {} // handled by maybe_analyze
-            _ => usage(),
-        }
-    }
-    if args.width < 20 {
-        usage();
-    }
-    args
-}
+const FLAGS: &[Flag] = &[
+    (
+        "--model",
+        "MODEL",
+        "model config, one of llama-8b, llama-7b, llama-3b, internlm-1.8b, mistral-7b, \
+         qwen2-1.5b (default internlm-1.8b)",
+    ),
+    (
+        "--engine",
+        "ENGINE",
+        "engine under test, one of hetero-tensor, hetero-layer, ppl-opencl, mlc, mnn-opencl, \
+         llama-cpp, padding, online-prepare, pipe, chunked-prefill, mllm-npu \
+         (default hetero-tensor)",
+    ),
+    ("--prompt", "N", "prompt tokens to prefill (default 256)"),
+    ("--decode", "N", "tokens to decode (default 8)"),
+    ("--sync", "fast|driver", "sync mechanism (default fast)"),
+    (
+        "--width",
+        "COLS",
+        "swimlane width in columns (default 100, min 20)",
+    ),
+    (
+        "--trace-out",
+        "PATH",
+        "also write the Chrome trace-event JSON of the same run",
+    ),
+];
 
 fn main() {
-    hetero_bench::maybe_help(
+    let args = hetero_bench::cli(
         "timeline",
         "render an ASCII swimlane of one observed prefill+decode session",
-        &[
-            ("--model MODEL", "model config (default internlm-1.8b)"),
-            (
-                "--engine ENGINE",
-                "engine under test (default hetero-tensor)",
-            ),
-            ("--prompt N", "prompt tokens to prefill (default 256)"),
-            ("--decode N", "tokens to decode (default 8)"),
-            ("--sync fast|driver", "sync mechanism (default fast)"),
-            (
-                "--width COLS",
-                "swimlane width in columns (default 100, min 20)",
-            ),
-            (
-                "--trace-out PATH",
-                "also write the Chrome trace-event JSON of the same run",
-            ),
-        ],
+        FLAGS,
+        |a| Args {
+            model: a.get("--model").unwrap_or_else(ModelConfig::internlm_1_8b),
+            engine: a.get("--engine").unwrap_or(EngineKind::HeteroTensor),
+            prompt: a.get("--prompt").unwrap_or(256),
+            decode: a.get("--decode").unwrap_or(8),
+            sync: a.get("--sync").unwrap_or(SyncMechanism::Fast),
+            width: match a.get("--width") {
+                Some(w) if w < 20 => a.bad_value("--width"),
+                w => w.unwrap_or(100),
+            },
+            trace_out: a.get("--trace-out"),
+        },
     );
-    hetero_bench::maybe_analyze();
-    let args = parse_args();
     println!(
         "timeline: {} on {} ({} prompt, {} decode, {:?} sync)\n",
         args.engine.name(),
@@ -126,10 +104,11 @@ fn main() {
     );
 
     if let Some(path) = &args.trace_out {
-        std::fs::write(path, heterollm::obs::chrome::to_chrome_json(&tl)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        hetero_bench::write_output(
+            "timeline",
+            path,
+            heterollm::obs::chrome::to_chrome_json(&tl),
+        );
         println!("trace written to {path}");
     }
 }

@@ -1,13 +1,20 @@
 #![warn(missing_docs)]
 
-//! Experiment harness utilities: table rendering, paper-vs-measured
-//! comparison rows, and JSON result persistence.
+//! Experiment harness utilities: the command-line parser, gate
+//! collection, table rendering, paper-vs-measured comparison rows, and
+//! JSON result persistence.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` (see `DESIGN.md` for the index). Binaries print the
 //! regenerated rows/series and write machine-readable results under
 //! `target/experiments/` which the `report` binary assembles into
 //! `EXPERIMENTS.md`.
+//!
+//! Each binary declares its flags as one `const` table of [`Flag`]
+//! rows and hands it to [`cli`], which drives `--help`, parsing and
+//! usage errors from that table alone. Exit codes are uniform across
+//! the suite: 0 ok, 1 failed gate or deny finding, 2 usage error or
+//! unwritable output path.
 
 pub mod plot;
 
@@ -16,21 +23,143 @@ use std::path::PathBuf;
 
 use serde::Serialize;
 
-/// Handle the `--analyze` flag shared by every experiment binary.
-///
-/// When `--analyze` is on the command line, run the static invariant
-/// checker over the solver output for the paper's evaluation models
-/// (prefill sweep + decode, fast sync) *before* the experiment itself,
-/// and abort with a non-zero exit status on any deny-level finding.
-/// The sweep includes the abstract-interpretation bound certification:
-/// static peak footprint and `[lo, hi]` latency bounds per model,
-/// gated for soundness against fresh DES runs (`bound-unsound`).
-/// Without the flag this is a no-op, so every figure/table binary can
-/// call it unconditionally at the top of `main`.
-pub fn maybe_analyze() {
-    if !std::env::args().skip(1).any(|a| a == "--analyze") {
-        return;
+/// One row of a binary's flag table: `(flag, metavar, help)`. An empty
+/// metavar marks a switch; any other flag takes the next argument as
+/// its value.
+pub type Flag = (&'static str, &'static str, &'static str);
+
+/// The shared `--jobs N` row. A binary that runs independent sessions
+/// through `heterollm::exec::Executor` opts in by listing it; every
+/// `--jobs` value must be a positive integer.
+pub const JOBS: Flag = (
+    "--jobs",
+    "N",
+    "workers for the independent sessions (default 1; output is byte-identical for every value)",
+);
+
+// Rows every binary accepts. `--help` is matched before parsing, so
+// its row is only ever rendered.
+const ANALYZE: Flag = (
+    "--analyze",
+    "",
+    "run the static invariant checker first; abort on deny findings",
+);
+
+const HELP: Flag = ("--help, -h", "", "print this help and exit");
+
+/// Command-line values parsed against a binary's flag table.
+#[derive(Debug)]
+pub struct Args {
+    bin: &'static str,
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
     }
+
+    /// The last value given for `flag`, read through `FromStr`. A value
+    /// that does not parse exits **2** via [`Args::bad_value`].
+    pub fn get<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let raw = self.raw(flag)?;
+        Some(raw.parse().unwrap_or_else(|_| self.bad_value(flag)))
+    }
+
+    /// Exit **2** with the uniform `bin: bad value 'x' for --flag`
+    /// message for the last value given for `flag`.
+    pub fn bad_value(&self, flag: &str) -> ! {
+        let raw = self.raw(flag).unwrap_or_default();
+        usage_error(self.bin, &format!("bad value '{raw}' for {flag}"))
+    }
+
+    fn raw(&self, flag: &str) -> Option<&str> {
+        self.given
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+}
+
+/// The command-line entry point of every experiment binary.
+///
+/// `--help` or `-h` anywhere prints the flag table (plus the shared
+/// `--analyze` and `--help` rows) and exits **0**. Otherwise argv is
+/// parsed against `flags`, and `read` pulls the typed values out by
+/// name; an unknown flag, a missing value, a bad value or `--jobs 0`
+/// exits **2** before any work starts. Only then, if `--analyze` was
+/// given, the static invariant checker runs over the solver output for
+/// the paper's evaluation models, and any deny-level finding exits
+/// **1**. Returns what `read` built.
+pub fn cli<T>(bin: &'static str, about: &str, flags: &[Flag], read: impl FnOnce(&Args) -> T) -> T {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", help(bin, about, flags));
+        std::process::exit(0);
+    }
+    let args = parse(bin, flags, argv).unwrap_or_else(|msg| usage_error(bin, &msg));
+    if args.get::<usize>("--jobs") == Some(0) {
+        args.bad_value("--jobs");
+    }
+    let out = read(&args);
+    if args.has("--analyze") {
+        analyze();
+    }
+    out
+}
+
+fn usage_error(bin: &str, msg: &str) -> ! {
+    eprintln!("{bin}: {msg}");
+    eprintln!("run with --help for usage");
+    std::process::exit(2)
+}
+
+fn parse(bin: &'static str, flags: &[Flag], argv: Vec<String>) -> Result<Args, String> {
+    let mut given = Vec::new();
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
+        let Some(&(flag, metavar, _)) = flags.iter().chain([&ANALYZE]).find(|row| row.0 == arg)
+        else {
+            return Err(format!("unknown flag '{arg}'"));
+        };
+        let value = if metavar.is_empty() {
+            None
+        } else {
+            Some(it.next().ok_or_else(|| format!("{flag} needs a value"))?)
+        };
+        given.push((flag, value));
+    }
+    Ok(Args { bin, given })
+}
+
+fn help(bin: &str, about: &str, flags: &[Flag]) -> String {
+    let rows: Vec<(String, &str)> = flags
+        .iter()
+        .chain([&ANALYZE, &HELP])
+        .map(|&(flag, metavar, help)| match metavar {
+            "" => (flag.to_string(), help),
+            _ => (format!("{flag} {metavar}"), help),
+        })
+        .collect();
+    let width = rows.iter().map(|(f, _)| f.len()).max().unwrap_or(0);
+    let mut out = format!(
+        "{bin}: {about}\n\nusage: cargo run --release -p hetero-bench --bin {bin} [--] [FLAGS]\n\n"
+    );
+    for (f, d) in rows {
+        out.push_str(&format!("  {f:<width$}  {d}\n"));
+    }
+    out
+}
+
+/// Run the static invariant checker over the solver output for the
+/// paper's evaluation models (prefill sweep + decode, fast sync) and
+/// exit **1** on any deny-level finding. The sweep includes the
+/// abstract-interpretation bound certification: static peak footprint
+/// and `[lo, hi]` latency bounds per model, gated for soundness
+/// against fresh DES runs (`bound-unsound`).
+fn analyze() {
     let models = heterollm::ModelConfig::evaluation_models();
     let mut report = hetero_analyze::lint_models(
         &models,
@@ -56,121 +185,39 @@ pub fn maybe_analyze() {
     }
 }
 
-/// Handle `--help`/`-h` for an experiment binary: print a uniform
-/// usage block and exit **0**.
-///
-/// Every experiment binary calls this first in `main`, before
-/// [`maybe_analyze`] and before its own flag parsing, so `--help`
-/// never runs an experiment and never exits non-zero. CI greps the
-/// binaries named in `EXPERIMENTS.md` and `--help`-runs each one; a
-/// binary whose flags drift from its documentation shows up there
-/// (the usage block is the single source of truth both must match).
-///
-/// `flags` lists `(flag-with-metavar, description)` pairs specific to
-/// the binary; the shared `--analyze` and `--help` rows are appended
-/// automatically.
-pub fn maybe_help(bin: &str, about: &str, flags: &[(&str, &str)]) {
-    if !std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
-        return;
-    }
-    println!("{bin}: {about}\n");
-    println!("usage: cargo run --release -p hetero-bench --bin {bin} [--] [FLAGS]\n");
-    let shared: &[(&str, &str)] = &[
-        (
-            "--analyze",
-            "run the static invariant checker first; abort on deny findings",
-        ),
-        ("--help, -h", "print this help and exit"),
-    ];
-    let width = flags
-        .iter()
-        .chain(shared)
-        .map(|(f, _)| f.len())
-        .max()
-        .unwrap_or(0);
-    for (f, d) in flags.iter().chain(shared) {
-        println!("  {f:<width$}  {d}");
-    }
-    std::process::exit(0);
-}
-
-/// Parse one flag's value for an experiment binary, or exit **2**
-/// with a uniform `bad value` message.
-///
-/// Every binary that takes `--seed N` (or any numeric flag) funnels
-/// the raw string through here, so `some_bin --seed junk` fails the
-/// same way everywhere: a `bin: bad value 'junk' for --seed` line, a
-/// pointer at `--help`, and exit code 2 — never a silent fallback to
-/// the default.
-pub fn parse_flag<T: std::str::FromStr>(bin: &str, flag: &str, raw: &str) -> T {
-    raw.trim().parse().unwrap_or_else(|_| {
-        eprintln!("{bin}: bad value '{raw}' for {flag}");
-        eprintln!("run with --help for usage");
-        std::process::exit(2)
-    })
-}
-
-/// Validate a raw `--jobs` value: a positive worker count, or exit
-/// **2** with the uniform `bad value` message.
-///
-/// Every session-running binary that accepts `--jobs N` funnels the
-/// raw string through here, so `--jobs 0` and `--jobs junk` fail
-/// identically across the suite. The determinism contract (see
-/// `PERFORMANCE.md`) is that `--jobs` only changes wall-clock time:
-/// output is byte-identical for every accepted value.
-pub fn parse_jobs(bin: &str, raw: &str) -> usize {
-    let jobs: usize = parse_flag(bin, "--jobs", raw);
-    if jobs == 0 {
-        eprintln!("{bin}: bad value '{raw}' for --jobs (must be at least 1)");
-        eprintln!("run with --help for usage");
+/// Write `bytes` to a path the user supplied on the command line, or
+/// exit **2** with `bin: cannot write PATH: err`.
+pub fn write_output(bin: &str, path: &str, bytes: impl AsRef<[u8]>) {
+    if let Err(e) = fs::write(path, bytes) {
+        eprintln!("{bin}: cannot write {path}: {e}");
         std::process::exit(2);
     }
-    jobs
 }
 
-/// Scan argv for the shared `--jobs N` flag (default 1), for binaries
-/// whose remaining argv is handled by [`expect_no_flags`] rather than
-/// a flag loop of their own. Bad values exit **2** via [`parse_jobs`];
-/// a trailing `--jobs` with no value exits **2** too.
-pub fn jobs_from_args(bin: &str) -> usize {
-    let mut jobs = 1;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let raw = it.next().unwrap_or_else(|| {
-                eprintln!("{bin}: --jobs needs a value");
-                eprintln!("run with --help for usage");
-                std::process::exit(2)
-            });
-            jobs = parse_jobs(bin, &raw);
+/// Gate failures collected across a run. Every gate is checked, so one
+/// run names all that failed; [`Gates::finish`] then exits **1**.
+#[derive(Debug, Default)]
+pub struct Gates(Vec<String>);
+
+impl Gates {
+    /// Record `failure()` unless `ok`; returns `ok`.
+    pub fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) -> bool {
+        if !ok {
+            self.0.push(failure());
         }
+        ok
     }
-    jobs
-}
 
-/// Reject stray command-line arguments for binaries that define no
-/// flags of their own (exit **2**), keeping argv handling uniform
-/// across the suite.
-///
-/// The shared `--analyze` / `--help` / `-h` flags are allowed (they
-/// are consumed by [`maybe_analyze`] / [`maybe_help`], which run
-/// first), as is `--jobs N` (read by [`jobs_from_args`] on binaries
-/// that run parallelizable sessions). Anything else — including a
-/// well-intentioned `--seed` on a binary that is deterministic by
-/// construction — is an error, not silently ignored.
-pub fn expect_no_flags(bin: &str) {
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            // Value validated by jobs_from_args; skip it here.
-            it.next();
-            continue;
+    /// Name every failed gate on stderr as `bin: gate failed: ...` and
+    /// exit **1** if any fired.
+    pub fn finish(self, bin: &str) {
+        if self.0.is_empty() {
+            return;
         }
-        if a != "--analyze" && a != "--help" && a != "-h" {
-            eprintln!("{bin}: unexpected argument '{a}' (this binary takes no flags of its own)");
-            eprintln!("run with --help for usage");
-            std::process::exit(2);
+        for failure in &self.0 {
+            eprintln!("{bin}: gate failed: {failure}");
         }
+        std::process::exit(1);
     }
 }
 
@@ -316,6 +363,50 @@ pub fn fmt(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FLAGS: &[Flag] = &[("--seed", "N", "seed"), ("--json", "", "json"), JOBS];
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_reads_the_last_value_by_name() {
+        let args = ["--seed", "7", "--json", "--seed", "9", "--analyze"];
+        let a = parse("t", FLAGS, argv(&args)).expect("valid argv");
+        assert_eq!(a.get::<u64>("--seed"), Some(9));
+        assert!(a.has("--json") && a.has("--analyze"));
+        assert_eq!(a.get::<usize>("--jobs"), None);
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_and_missing_values() {
+        let err = |flags, args: &[&str]| parse("t", flags, argv(args)).unwrap_err();
+        assert_eq!(err(FLAGS, &["--bogus"]), "unknown flag '--bogus'");
+        assert_eq!(err(FLAGS, &["--json", "--seed"]), "--seed needs a value");
+        assert_eq!(err(&[], &["--jobs", "2"]), "unknown flag '--jobs'");
+    }
+
+    #[test]
+    fn help_aligns_every_row() {
+        let h = help("t", "about", FLAGS);
+        assert!(h.starts_with(
+            "t: about\n\nusage: cargo run --release -p hetero-bench --bin t [--] [FLAGS]\n\n"
+        ));
+        assert!(h.contains("\n  --seed N    seed\n  --json      json\n  --jobs N    workers"));
+        assert!(
+            h.ends_with("\n  --help, -h  print this help and exit\n"),
+            "{h}"
+        );
+    }
+
+    #[test]
+    fn gates_record_only_failures() {
+        let mut gates = Gates::default();
+        assert!(gates.check(true, || unreachable!()));
+        assert!(!gates.check(false, || "x".into()));
+        assert_eq!(gates.0, ["x"]);
+    }
 
     #[test]
     fn table_renders_aligned() {

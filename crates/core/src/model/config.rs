@@ -245,6 +245,15 @@ impl ModelConfig {
     }
 }
 
+impl std::str::FromStr for ModelConfig {
+    type Err = String;
+
+    /// Parse a CLI-style preset name via [`ModelConfig::by_name`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Self::by_name(s).ok_or_else(|| format!("unknown model '{s}'"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

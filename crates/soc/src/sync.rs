@@ -41,6 +41,19 @@ impl SyncMechanism {
     }
 }
 
+impl std::str::FromStr for SyncMechanism {
+    type Err = String;
+
+    /// Parse a [`SyncMechanism::name`] (`"fast"` / `"driver"`).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "fast" => Ok(Self::Fast),
+            "driver" => Ok(Self::Driver),
+            other => Err(format!("unknown sync mechanism '{other}'")),
+        }
+    }
+}
+
 /// Which backend dominates the parallel section (Fig. 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Dominance {
