@@ -3,8 +3,11 @@
 //! layer exports.
 //!
 //! One line per case — every [`EngineKind`] under both sync mechanisms
-//! on InternLM-1.8B (64-token prompt, 1 decoded token), plus one seeded
-//! degraded [`RuntimeController`] session with both views armed at once
+//! on InternLM-1.8B (64-token prompt, 1 decoded token); Hetero-tensor on
+//! Llama-8B at the misaligned prompts 135 and 300 (the SeqCut and
+//! HybridCut plans) with 2 decoded tokens; one speculative-decoding run
+//! (n-row verification plans); plus one seeded degraded
+//! [`RuntimeController`] session per arm with both views armed at once
 //! (replans, fallbacks and sync-downgrade markers included). Each line
 //! carries the log's event count, the timeline's span and flow counts,
 //! and FNV-1a-64 digests of a line-per-event rendering of the log and of
@@ -17,10 +20,12 @@ use std::fmt::Write as _;
 use hetero_soc::disturb::DisturbanceTrace;
 use hetero_soc::sync::SyncMechanism;
 use hetero_soc::SimTime;
+use heterollm::engines::HeteroTensorEngine;
 use heterollm::obs::{chrome, Timeline};
 use heterollm::runtime::{conversation_traffic, ControllerConfig, SloPolicy};
+use heterollm::spec_decode::run_speculative_hetero;
 use heterollm::trace::ConcurrencyLog;
-use heterollm::{EngineKind, ModelConfig, RuntimeController};
+use heterollm::{Engine, EngineKind, ModelConfig, RuntimeController};
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -58,19 +63,44 @@ fn case_line(case: &str, log: &ConcurrencyLog, tl: &Timeline) -> String {
     )
 }
 
-fn engine_case(kind: EngineKind, mechanism: SyncMechanism) -> String {
-    let model = ModelConfig::internlm_1_8b();
-    let mut engine = kind.build(&model, mechanism);
-    engine.enable_events();
-    engine.try_prefill(64).expect("prefill");
-    engine.try_decode(64, 1).expect("decode");
+fn events_line(case: &str, engine: &mut dyn Engine) -> String {
     let events = engine.take_events().expect("events recorded");
     let log = ConcurrencyLog::from_events(&events);
     let tl = Timeline::from_events(&events);
-    case_line(
-        &format!("{}/{}", engine.name(), mechanism.name()),
-        &log,
-        &tl,
+    case_line(case, &log, &tl)
+}
+
+/// Prefill `prompt` tokens then decode `tokens`; `tag` is appended to
+/// the `engine/mechanism` case name.
+fn engine_case(
+    model: &ModelConfig,
+    kind: EngineKind,
+    mechanism: SyncMechanism,
+    (prompt, tokens): (usize, usize),
+    tag: &str,
+) -> String {
+    let mut engine = kind.build(model, mechanism);
+    engine.enable_events();
+    engine.try_prefill(prompt).expect("prefill");
+    engine.try_decode(prompt, tokens).expect("decode");
+    let case = format!("{}/{}{tag}", engine.name(), mechanism.name());
+    events_line(&case, engine.as_mut())
+}
+
+/// Speculative decoding on Hetero-tensor: every step runs the
+/// `verify_rows`-row decode trace through the verification plans.
+fn speculative_case() -> String {
+    let (prompt, verify_rows, commits) = (256, 5, [3, 1, 5, 2]);
+    let model = ModelConfig::llama_8b();
+    let mut engine = HeteroTensorEngine::new(&model, SyncMechanism::Fast);
+    engine.enable_events();
+    run_speculative_hetero(&mut engine, prompt, verify_rows, &commits).expect("speculate");
+    events_line(
+        &format!(
+            "Hetero-tensor/speculative[{}, prompt={prompt}, verify_rows={verify_rows}, commits={commits:?}]",
+            model.name
+        ),
+        &mut engine,
     )
 }
 
@@ -116,11 +146,21 @@ fn degraded_case(adaptive: bool) -> String {
 #[test]
 fn engine_views_are_golden() {
     let mut actual = String::new();
+    let internlm = ModelConfig::internlm_1_8b();
     for kind in EngineKind::ALL {
         for mechanism in [SyncMechanism::Fast, SyncMechanism::Driver] {
-            actual.push_str(&engine_case(kind, mechanism));
+            actual.push_str(&engine_case(&internlm, kind, mechanism, (64, 1), ""));
         }
     }
+    let llama = ModelConfig::llama_8b();
+    for prompt in [135, 300] {
+        for mechanism in [SyncMechanism::Fast, SyncMechanism::Driver] {
+            let kind = EngineKind::HeteroTensor;
+            let tag = format!("[{}, prompt={prompt}, tokens=2]", llama.name);
+            actual.push_str(&engine_case(&llama, kind, mechanism, (prompt, 2), &tag));
+        }
+    }
+    actual.push_str(&speculative_case());
     actual.push_str(&degraded_case(true));
     actual.push_str(&degraded_case(false));
 
