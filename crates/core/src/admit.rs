@@ -3,10 +3,14 @@
 //! from SoC cost queries — no discrete-event simulation runs and no
 //! engine clock advances.
 //!
-//! The mirrors replay each engine's *scheduling policy* (the same plan
-//! tables, chunking rules and backend-switch machine the engines use)
-//! but price every step through `Soc::solo_kernel_time` /
-//! `Soc::contended_kernel_time`, which are pure `&self` queries.
+//! The mirrors replay each engine's *scheduling policy* but price every
+//! step through `Soc::solo_kernel_time` / `Soc::contended_kernel_time`,
+//! which are pure `&self` queries. [`HeteroMirror`] does not copy the
+//! tensor engine's policy: it owns the same planner and runs the same
+//! phase walk and plan lowering (`crate::schedule`), and only swaps the
+//! engine's executor for a pricer. [`npu_pipe_prefill`] prices the
+//! NPU-pipe fallback's fixed routing through that pricer too.
+//!
 //! Soundness then reduces to the overlap model's pinned envelope: a
 //! parallel section's makespan is never below the larger per-side
 //! *solo* sum and never above the larger *contended* sum, while serial
@@ -20,23 +24,85 @@
 use hetero_graph::plan::pipe_plan;
 use hetero_profiler::{CostInterval, RealExecProvider};
 use hetero_soc::calib::STANDARD_GRAPH_SIZES;
-use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
+use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{Backend, KernelDesc, SimTime, Soc, SocConfig};
-use hetero_solver::{PartitionPlan, PlanTable, RegionTable, Solver, SolverConfig};
+use hetero_solver::{PartitionPlan, RegionTable};
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel};
+use crate::engines::{hetero_soc_config, npu_kernel};
 use crate::model::ModelConfig;
-use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace};
+use crate::schedule::{switch_to, Planner, Sink};
+use crate::trace::{prefill_trace, OpRole};
 
 /// A solved weight-Matmul site in a phase: operator name, logical
 /// shape, and the partition plan the mirror (and the engine) adopts.
 pub type PlanSite = (&'static str, MatmulShape, PartitionPlan);
 
+/// The mirror's interpreter of the schedule: prices every step instead
+/// of running it, accumulating the phase's `[lo, hi]` interval.
+struct Pricer {
+    /// Pricing-only SoC; its clock is never advanced.
+    soc: Soc,
+    current: Option<Backend>,
+    total: CostInterval,
+}
+
+impl Pricer {
+    fn new(soc_cfg: SocConfig) -> Self {
+        Self {
+            soc: Soc::new(soc_cfg),
+            current: None,
+            total: CostInterval::ZERO,
+        }
+    }
+
+    /// The interval accumulated since the last call, resetting it.
+    fn take(&mut self) -> CostInterval {
+        std::mem::replace(&mut self.total, CostInterval::ZERO)
+    }
+}
+
+impl Sink for Pricer {
+    /// Exact: the solo kernel time plus the backend-switch constant the
+    /// engine's switch machine pays at this point in the sequence.
+    fn serial(&mut self, backend: Backend, kernel: &KernelDesc) {
+        if switch_to(&mut self.current, backend).is_some() {
+            self.total += CostInterval::exact(self.soc.config().sync.backend_switch());
+        }
+        self.total += CostInterval::exact(self.soc.solo_kernel_time(backend, kernel));
+    }
+
+    /// `[max(solo sums), max(contended sums)]` plus the exact rendezvous
+    /// constant — the pinned envelope of `Soc::run_parallel`'s overlap
+    /// model.
+    fn parallel(&mut self, gpu: &[KernelDesc], npu: &[KernelDesc], dominance: Dominance) {
+        let both = [Backend::Gpu, Backend::Npu];
+        let sum = |backend: Backend, ks: &[KernelDesc], contended: bool| {
+            ks.iter()
+                .map(|k| {
+                    if contended {
+                        self.soc.contended_kernel_time(backend, k, &both)
+                    } else {
+                        self.soc.solo_kernel_time(backend, k)
+                    }
+                })
+                .sum::<SimTime>()
+        };
+        let lo = sum(Backend::Gpu, gpu, false).max(sum(Backend::Npu, npu, false));
+        let hi = sum(Backend::Gpu, gpu, true)
+            .max(sum(Backend::Npu, npu, true))
+            .max(lo);
+        let rendezvous = self.soc.config().sync.rendezvous(dominance);
+        self.total += CostInterval { lo, hi } + CostInterval::exact(rendezvous);
+        // Both backends just ran; the GPU ends the section primed.
+        self.current = Some(Backend::Gpu);
+    }
+}
+
 /// Static mirror of [`crate::engines::HeteroTensorEngine`]'s
-/// scheduling: identical solvers and plan tables, identical
-/// backend-switch machine, but all costs are priced as
-/// [`CostInterval`]s instead of being executed.
+/// scheduling: the engine's own planner and phase walk, interpreted by
+/// a pricer that prices every step as a [`CostInterval`] instead of
+/// executing it.
 ///
 /// Because the engine's plan choice and switch sequence are
 /// deterministic functions of the model and prompt length, the
@@ -44,13 +110,8 @@ pub type PlanSite = (&'static str, MatmulShape, PartitionPlan);
 /// the same phase sequence.
 pub struct HeteroMirror {
     cfg: ModelConfig,
-    /// Pricing-only SoC; its clock is never advanced.
-    soc: Soc,
-    prefill_solver: Solver<RealExecProvider>,
-    decode_solver: Solver<RealExecProvider>,
-    prefill_table: PlanTable,
-    decode_table: PlanTable,
-    current: Option<Backend>,
+    planner: Planner<RealExecProvider>,
+    pricer: Pricer,
 }
 
 impl HeteroMirror {
@@ -62,205 +123,42 @@ impl HeteroMirror {
     /// Mirror of an engine over an explicit SoC configuration (e.g. a
     /// disturbance-adjusted one).
     pub fn with_soc_config(model: &ModelConfig, soc_cfg: SocConfig) -> Self {
-        let provider = RealExecProvider::new(soc_cfg.clone());
-        // Plans are design artifacts and always assume fast sync,
-        // exactly as `HeteroTensorEngine::from_provider`.
-        let plan_sync = SyncModel::new(SyncMechanism::Fast);
-        let prefill_solver = Solver::new(
-            provider.clone(),
-            SolverConfig {
-                sync: plan_sync.clone(),
-                ..SolverConfig::default()
-            },
-        );
-        let decode_solver = Solver::new(
-            provider,
-            SolverConfig {
-                sync: plan_sync,
-                ..SolverConfig::decode(1)
-            },
-        );
         Self {
             cfg: model.clone(),
-            soc: Soc::new(soc_cfg),
-            prefill_solver,
-            decode_solver,
-            prefill_table: PlanTable::new(),
-            decode_table: PlanTable::new(),
-            current: None,
+            planner: Planner::new(RealExecProvider::new(soc_cfg.clone()), None),
+            pricer: Pricer::new(soc_cfg),
         }
-    }
-
-    /// Exact cost of running `kernel` serially on `backend`, including
-    /// the backend-switch constant the engine's switch machine would
-    /// pay at this point in the sequence.
-    fn run_on_bound(&mut self, backend: Backend, kernel: &KernelDesc) -> CostInterval {
-        let mut t = SimTime::ZERO;
-        if self.current != Some(backend) {
-            if self.current.is_some() {
-                t += self.soc.config().sync.backend_switch();
-            }
-            self.current = Some(backend);
-        }
-        CostInterval::exact(t + self.soc.solo_kernel_time(backend, kernel))
-    }
-
-    /// Interval cost of a parallel section: `[max(solo sums),
-    /// max(contended sums)]` plus the exact rendezvous constant —
-    /// the pinned envelope of `Soc::run_parallel`'s overlap model.
-    fn parallel_bound(
-        &mut self,
-        gpu: &[KernelDesc],
-        npu: &[KernelDesc],
-        dominance: Dominance,
-    ) -> CostInterval {
-        let both = [Backend::Gpu, Backend::Npu];
-        let sum = |soc: &Soc, backend: Backend, ks: &[KernelDesc], contended: bool| {
-            ks.iter()
-                .map(|k| {
-                    if contended {
-                        soc.contended_kernel_time(backend, k, &both)
-                    } else {
-                        soc.solo_kernel_time(backend, k)
-                    }
-                })
-                .sum::<SimTime>()
-        };
-        let g_solo = sum(&self.soc, Backend::Gpu, gpu, false);
-        let g_cont = sum(&self.soc, Backend::Gpu, gpu, true);
-        let n_solo = sum(&self.soc, Backend::Npu, npu, false);
-        let n_cont = sum(&self.soc, Backend::Npu, npu, true);
-        let lo = g_solo.max(n_solo);
-        let hi = g_cont.max(n_cont).max(lo);
-        // Both backends just ran; the GPU ends the section primed.
-        self.current = Some(Backend::Gpu);
-        let rendezvous = self.soc.config().sync.rendezvous(dominance);
-        CostInterval { lo, hi } + CostInterval::exact(rendezvous)
-    }
-
-    /// Interval cost of one partition plan, mirroring
-    /// `HeteroTensorEngine::execute_plan` step for step.
-    fn plan_bound(
-        &mut self,
-        plan: &PartitionPlan,
-        shape: MatmulShape,
-        dominance: Dominance,
-    ) -> CostInterval {
-        match plan {
-            PartitionPlan::GpuOnly => self.run_on_bound(Backend::Gpu, &gpu_kernel(shape)),
-            PartitionPlan::NpuOnly { padded_m } => {
-                let k = npu_kernel(MatmulShape {
-                    m: *padded_m,
-                    ..shape
-                });
-                self.run_on_bound(Backend::Npu, &k)
-            }
-            PartitionPlan::NpuPipe { chunks, .. } => {
-                chunks.iter().fold(CostInterval::ZERO, |acc, &c| {
-                    let k = npu_kernel(MatmulShape { m: c, ..shape });
-                    acc + self.run_on_bound(Backend::Npu, &k)
-                })
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { gpu_cols, padded_m } => {
-                let gpu = gpu_kernel(MatmulShape::new(shape.m, shape.k, *gpu_cols));
-                let npu = npu_kernel(MatmulShape::new(*padded_m, shape.k, shape.n - gpu_cols));
-                self.parallel_bound(&[gpu], &[npu], dominance)
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let npu: Vec<KernelDesc> = npu_chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                if *gpu_rows == 0 {
-                    npu.iter().fold(CostInterval::ZERO, |acc, k| {
-                        acc + self.run_on_bound(Backend::Npu, k)
-                    })
-                } else {
-                    let gpu = gpu_kernel(MatmulShape {
-                        m: *gpu_rows,
-                        ..shape
-                    });
-                    self.parallel_bound(&[gpu], &npu, dominance)
-                }
-            }
-        }
-    }
-
-    /// Interval over one phase trace; weight Matmuls consult the given
-    /// plan table/solver pair, everything else runs on the GPU — the
-    /// exact routing of the tensor engine's phase loops.
-    fn phase_bound(&mut self, trace: &PhaseTrace, prefill: bool) -> CostInterval {
-        let dominance = if prefill {
-            Dominance::NpuDominant
-        } else {
-            Dominance::GpuDominant
-        };
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        let mut total = CostInterval::ZERO;
-        for op in &ops {
-            let step = match op.role {
-                OpRole::WeightMatmul => {
-                    let shape = op.shape.expect("weight matmul carries a shape");
-                    let choice = if prefill {
-                        self.prefill_table.get_or_solve(
-                            &self.prefill_solver,
-                            op.op,
-                            shape,
-                            dominance,
-                        )
-                    } else {
-                        self.decode_table
-                            .get_or_solve(&self.decode_solver, op.op, shape, dominance)
-                    };
-                    self.plan_bound(&choice.plan, shape, dominance)
-                }
-                _ => self.run_on_bound(Backend::Gpu, &op.kernel),
-            };
-            total += step;
-        }
-        total
     }
 
     /// Sound `[lo, hi]` bound on the engine's prefill elapsed time for
     /// a prompt of `prompt_len` tokens, from the same switch-machine
     /// state the engine would be in (call in the same phase order).
     pub fn prefill_bound(&mut self, prompt_len: usize) -> CostInterval {
-        let trace = prefill_trace(&self.cfg, prompt_len);
-        self.phase_bound(&trace, true)
+        self.planner
+            .prefill(&self.cfg, prompt_len, &mut self.pricer)
+            .expect("weight matmul carries a shape");
+        self.pricer.take()
     }
 
     /// Sound `[lo, hi]` bound on decoding `n_tokens` tokens after a
     /// prompt of `prompt_len`.
     pub fn decode_bound(&mut self, prompt_len: usize, n_tokens: usize) -> CostInterval {
-        let mut total = CostInterval::ZERO;
-        for t in 0..n_tokens {
-            let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
-            total += self.phase_bound(&trace, false);
-        }
-        total
+        self.planner
+            .decode(&self.cfg, prompt_len, n_tokens, &mut self.pricer)
+            .expect("weight matmul carries a shape");
+        self.pricer.take()
     }
 
     /// The weight-Matmul plan sites of a prefill at `prompt_len`, in
     /// trace order — what the footprint analyzer folds region tables
     /// over.
     pub fn prefill_plans(&mut self, prompt_len: usize) -> Vec<PlanSite> {
-        let trace = prefill_trace(&self.cfg, prompt_len);
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        ops.iter()
+        prefill_trace(&self.cfg, prompt_len)
+            .iter_all()
             .filter(|op| op.role == OpRole::WeightMatmul)
             .map(|op| {
                 let shape = op.shape.expect("weight matmul carries a shape");
-                let choice = self.prefill_table.get_or_solve(
-                    &self.prefill_solver,
-                    op.op,
-                    shape,
-                    Dominance::NpuDominant,
-                );
-                (op.op, shape, choice.plan)
+                (op.op, shape, self.planner.prefill.plan(op.op, shape))
             })
             .collect()
     }
@@ -297,40 +195,24 @@ pub fn gpu_only_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: us
 /// core's switch machine (starting unprimed) paying one backend-switch
 /// constant per transition.
 pub fn npu_pipe_prefill(model: &ModelConfig, soc_cfg: &SocConfig, prompt_len: usize) -> SimTime {
-    let soc = Soc::new(soc_cfg.clone());
-    let switch = soc.config().sync.backend_switch();
     let chunks = pipe_plan(prompt_len, &STANDARD_GRAPH_SIZES).npu_chunks;
-    let mut current: Option<Backend> = None;
-    let mut total = SimTime::ZERO;
-    let mut run = |backend: Backend, kernel: &KernelDesc, total: &mut SimTime| {
-        if current != Some(backend) {
-            if current.is_some() {
-                *total += switch;
-            }
-            current = Some(backend);
-        }
-        *total += soc.solo_kernel_time(backend, kernel);
-    };
+    let mut pricer = Pricer::new(soc_cfg.clone());
     for op in prefill_trace(model, prompt_len).iter_all() {
         match op.role {
             OpRole::WeightMatmul => {
                 let shape = op.shape.expect("weight matmul carries a shape");
                 if shape.m == 1 {
-                    run(Backend::Npu, &npu_kernel(shape), &mut total);
+                    pricer.serial(Backend::Npu, &npu_kernel(shape));
                 } else {
                     for &c in &chunks {
-                        run(
-                            Backend::Npu,
-                            &npu_kernel(MatmulShape { m: c, ..shape }),
-                            &mut total,
-                        );
+                        pricer.serial(Backend::Npu, &npu_kernel(MatmulShape { m: c, ..shape }));
                     }
                 }
             }
-            OpRole::Attention | OpRole::Aux => run(Backend::Gpu, &op.kernel, &mut total),
+            OpRole::Attention | OpRole::Aux => pricer.serial(Backend::Gpu, &op.kernel),
         }
     }
-    total
+    pricer.total.lo
 }
 
 #[cfg(test)]
@@ -342,27 +224,32 @@ mod tests {
 
     #[test]
     fn hetero_mirror_brackets_engine_prefill_and_decode() {
-        let model = ModelConfig::llama_3b();
-        let mut mirror = HeteroMirror::new(&model, SyncMechanism::Fast);
-        let mut engine = HeteroTensorEngine::new(&model, SyncMechanism::Fast);
-        for len in [135usize, 300] {
-            let bound = mirror.prefill_bound(len);
-            let observed = engine.prefill(len).elapsed;
-            assert!(
-                bound.contains(observed),
-                "len {len}: observed {observed} outside [{}, {}]",
-                bound.lo,
-                bound.hi
-            );
+        for model in ModelConfig::evaluation_models() {
+            for sync in [SyncMechanism::Fast, SyncMechanism::Driver] {
+                let mut mirror = HeteroMirror::new(&model, sync);
+                let mut engine = HeteroTensorEngine::new(&model, sync);
+                for len in [1usize, 64, 135, 300, 1024] {
+                    let bound = mirror.prefill_bound(len);
+                    let observed = engine.prefill(len).elapsed;
+                    assert!(
+                        bound.contains(observed),
+                        "{} {sync:?} len {len}: observed {observed} outside [{}, {}]",
+                        model.name,
+                        bound.lo,
+                        bound.hi
+                    );
+                }
+                let bound = mirror.decode_bound(300, 4);
+                let observed = engine.decode(300, 4).elapsed;
+                assert!(
+                    bound.contains(observed),
+                    "{} {sync:?} decode observed {observed} outside [{}, {}]",
+                    model.name,
+                    bound.lo,
+                    bound.hi
+                );
+            }
         }
-        let bound = mirror.decode_bound(300, 4);
-        let observed = engine.decode(300, 4).elapsed;
-        assert!(
-            bound.contains(observed),
-            "decode observed {observed} outside [{}, {}]",
-            bound.lo,
-            bound.hi
-        );
     }
 
     #[test]

@@ -5,20 +5,20 @@
 //! row-cutting, sequence-length cutting or hybrid-cutting, with the
 //! fast-synchronization runtime bounding rendezvous costs (§4).
 
-use hetero_graph::{CompileModel, GraphCache};
 use hetero_profiler::measure::{partition_shape_grid, profile_matmuls};
 use hetero_profiler::{CostProvider, PredictedProvider, RealExecProvider};
 use hetero_soc::calib::STANDARD_GRAPH_SIZES;
-use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
+use hetero_soc::sync::{Dominance, SyncMechanism};
 use hetero_soc::{Backend, KernelDesc, Soc};
-use hetero_solver::{PartitionPlan, PlanTable, Solver, SolverConfig};
+use hetero_solver::PartitionPlan;
 use hetero_tensor::shape::MatmulShape;
 
-use crate::engines::{gpu_kernel, hetero_soc_config, npu_kernel, run_serial_step, Engine};
+use crate::engines::{hetero_soc_config, run_serial_step, Engine};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::report::PhaseReport;
-use crate::trace::{decode_trace, prefill_trace, EngineEvent, KernelName, OpRole};
+use crate::schedule::{Planner, Sink};
+use crate::trace::{EngineEvent, KernelName};
 
 /// HeteroLLM with tensor-level heterogeneous execution.
 ///
@@ -26,16 +26,55 @@ use crate::trace::{decode_trace, prefill_trace, EngineEvent, KernelName, OpRole}
 /// default — exact offline profiling) or [`PredictedProvider`] (the
 /// decision-tree prediction mode of §4.3).
 pub struct HeteroTensorEngine<P: CostProvider = RealExecProvider> {
-    cfg: ModelConfig,
-    soc: Soc,
-    #[allow(dead_code)] // Graphs are preloaded; retained for inspection.
-    cache: GraphCache,
-    prefill_solver: Solver<P>,
-    decode_solver: Solver<P>,
-    prefill_table: PlanTable,
-    decode_table: PlanTable,
+    pub(crate) cfg: ModelConfig,
+    pub(crate) planner: Planner<P>,
+    pub(crate) exec: Executor,
+}
+
+/// The engine's interpreter of the schedule: runs every step on the
+/// simulated SoC through the shared backend-switch machine, recording
+/// the event stream when armed.
+pub(crate) struct Executor {
+    pub(crate) soc: Soc,
     current: Option<Backend>,
     events: Option<Vec<EngineEvent>>,
+}
+
+impl Sink for Executor {
+    fn serial(&mut self, backend: Backend, kernel: &KernelDesc) {
+        run_serial_step(
+            &mut self.soc,
+            &mut self.current,
+            &mut self.events,
+            backend,
+            KernelName::of(kernel),
+            kernel,
+        );
+    }
+
+    fn parallel(&mut self, gpu: &[KernelDesc], npu: &[KernelDesc], dominance: Dominance) {
+        let start = self.soc.clock();
+        let outcome = self.soc.run_parallel(gpu, npu, dominance);
+        if let Some(ev) = &mut self.events {
+            let side = |ks: &[KernelDesc]| match ks {
+                [k] => KernelName::of(k),
+                ks => KernelName::Batch(ks.len()),
+            };
+            ev.push(EngineEvent::Parallel {
+                gpu: side(gpu),
+                npu: side(npu),
+                gpu_bytes: gpu.iter().map(KernelDesc::bytes).sum(),
+                npu_bytes: npu.iter().map(KernelDesc::bytes).sum(),
+                mechanism: self.soc.config().sync.mechanism,
+                start,
+                gpu_end: start + outcome.a_finish,
+                npu_end: start + outcome.b_finish,
+                end: self.soc.clock(),
+            });
+        }
+        // Both backends just ran; the GPU ends the section primed.
+        self.current = Some(Backend::Gpu);
+    }
 }
 
 impl HeteroTensorEngine<RealExecProvider> {
@@ -57,15 +96,14 @@ impl HeteroTensorEngine<RealExecProvider> {
         let mut soc_cfg = hetero_soc_config(sync);
         soc_cfg.gpu.achieved_tflops *= derate;
         soc_cfg.gpu.mem_efficiency *= derate;
-        let provider = RealExecProvider::new(soc_cfg.clone());
-        Self::from_provider(model, soc_cfg, provider)
+        Self::with_soc_config(model, soc_cfg)
     }
 
     /// Engine over an explicit SoC configuration — e.g. a Table-1
     /// cross-SoC projection from [`hetero_soc::specs::project_config`].
     pub fn with_soc_config(model: &ModelConfig, soc_cfg: hetero_soc::SocConfig) -> Self {
         let provider = RealExecProvider::new(soc_cfg.clone());
-        Self::from_provider(model, soc_cfg, provider)
+        Self::from_provider(model, soc_cfg, provider, None)
     }
 
     /// Engine with a custom minimum-parallel-gain threshold (§4.3's
@@ -77,25 +115,7 @@ impl HeteroTensorEngine<RealExecProvider> {
     ) -> Self {
         let soc_cfg = hetero_soc_config(sync);
         let provider = RealExecProvider::new(soc_cfg.clone());
-        let mut engine = Self::from_provider(model, soc_cfg, provider.clone());
-        let plan_sync = SyncModel::new(SyncMechanism::Fast);
-        engine.prefill_solver = Solver::new(
-            provider.clone(),
-            SolverConfig {
-                sync: plan_sync.clone(),
-                min_parallel_gain,
-                ..SolverConfig::default()
-            },
-        );
-        engine.decode_solver = Solver::new(
-            provider,
-            SolverConfig {
-                sync: plan_sync,
-                min_parallel_gain,
-                ..SolverConfig::decode(1)
-            },
-        );
-        engine
+        Self::from_provider(model, soc_cfg, provider, Some(min_parallel_gain))
     }
 }
 
@@ -131,159 +151,38 @@ impl HeteroTensorEngine<PredictedProvider> {
         );
         let provider =
             PredictedProvider::train(&db, soc_cfg.clone()).expect("profile grid is non-empty");
-        Self::from_provider(model, soc_cfg, provider)
+        Self::from_provider(model, soc_cfg, provider, None)
     }
 }
 
 impl<P: CostProvider + Clone> HeteroTensorEngine<P> {
-    /// Shared construction: graph preloading, plan-design solvers and
-    /// the assist-tier SoC.
-    fn from_provider(model: &ModelConfig, soc_cfg: hetero_soc::SocConfig, provider: P) -> Self {
-        let mut cache = GraphCache::new(model.graph_set(), CompileModel::default());
-        cache.preload(&STANDARD_GRAPH_SIZES);
-        cache.preload(&[1]);
-
-        // Partition plans are part of the *design* and always assume
-        // fast synchronization; the runtime's sync mechanism only
-        // changes what each rendezvous costs (the Figs. 15/17 ablation
-        // varies the mechanism, not the plans).
-        let plan_sync = SyncModel::new(SyncMechanism::Fast);
-        let prefill_solver = Solver::new(
-            provider.clone(),
-            SolverConfig {
-                sync: plan_sync.clone(),
-                ..SolverConfig::default()
-            },
-        );
-        let decode_solver = Solver::new(
-            provider,
-            SolverConfig {
-                sync: plan_sync,
-                ..SolverConfig::decode(1)
-            },
-        );
-
+    /// Shared construction: the planner and the assist-tier SoC.
+    fn from_provider(
+        model: &ModelConfig,
+        soc_cfg: hetero_soc::SocConfig,
+        provider: P,
+        min_parallel_gain: Option<f64>,
+    ) -> Self {
         let mut soc = Soc::new(soc_cfg);
         // Assist-tier GPU power (shallow queues between sync points).
         soc.set_gpu_assist();
         Self {
             cfg: model.clone(),
-            soc,
-            cache,
-            prefill_solver,
-            decode_solver,
-            prefill_table: PlanTable::new(),
-            decode_table: PlanTable::new(),
-            current: None,
-            events: None,
+            planner: Planner::new(provider, min_parallel_gain),
+            exec: Executor {
+                soc,
+                current: None,
+                events: None,
+            },
         }
     }
 }
 
 impl<P: CostProvider> HeteroTensorEngine<P> {
-    fn run_on(&mut self, backend: Backend, kernel: &KernelDesc) {
-        run_serial_step(
-            &mut self.soc,
-            &mut self.current,
-            &mut self.events,
-            backend,
-            KernelName::of(kernel),
-            kernel,
-        );
-    }
-
-    fn run_parallel(&mut self, gpu: &[KernelDesc], npu: &[KernelDesc], dominance: Dominance) {
-        let start = self.soc.clock();
-        let outcome = self.soc.run_parallel(gpu, npu, dominance);
-        if let Some(ev) = &mut self.events {
-            let side = |ks: &[KernelDesc]| match ks {
-                [k] => KernelName::of(k),
-                ks => KernelName::Batch(ks.len()),
-            };
-            ev.push(EngineEvent::Parallel {
-                gpu: side(gpu),
-                npu: side(npu),
-                gpu_bytes: gpu.iter().map(KernelDesc::bytes).sum(),
-                npu_bytes: npu.iter().map(KernelDesc::bytes).sum(),
-                mechanism: self.soc.config().sync.mechanism,
-                start,
-                gpu_end: start + outcome.a_finish,
-                npu_end: start + outcome.b_finish,
-                end: self.soc.clock(),
-            });
-        }
-        // Both backends just ran; the GPU ends the section primed.
-        self.current = Some(Backend::Gpu);
-    }
-
-    fn execute_plan(&mut self, plan: &PartitionPlan, shape: MatmulShape, dominance: Dominance) {
-        match plan {
-            PartitionPlan::GpuOnly => self.run_on(Backend::Gpu, &gpu_kernel(shape)),
-            PartitionPlan::NpuOnly { padded_m } => {
-                let k = npu_kernel(MatmulShape {
-                    m: *padded_m,
-                    ..shape
-                });
-                self.run_on(Backend::Npu, &k);
-            }
-            PartitionPlan::NpuPipe { chunks, .. } => {
-                for &c in chunks {
-                    let k = npu_kernel(MatmulShape { m: c, ..shape });
-                    self.run_on(Backend::Npu, &k);
-                }
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { gpu_cols, padded_m } => {
-                let gpu = gpu_kernel(MatmulShape::new(shape.m, shape.k, *gpu_cols));
-                let npu = npu_kernel(MatmulShape::new(*padded_m, shape.k, shape.n - gpu_cols));
-                self.run_parallel(&[gpu], &[npu], dominance);
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let npu: Vec<KernelDesc> = npu_chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                if *gpu_rows == 0 {
-                    for k in &npu {
-                        self.run_on(Backend::Npu, k);
-                    }
-                } else {
-                    let gpu = gpu_kernel(MatmulShape {
-                        m: *gpu_rows,
-                        ..shape
-                    });
-                    self.run_parallel(&[gpu], &npu, dominance);
-                }
-            }
-        }
-    }
-
-    /// Execute a partition plan for one logical Matmul (public for the
-    /// speculative-decoding driver and the experiment harness).
-    pub fn execute_plan_pub(
-        &mut self,
-        plan: &PartitionPlan,
-        shape: MatmulShape,
-        dominance: Dominance,
-    ) {
-        self.execute_plan(plan, shape, dominance);
-    }
-
-    /// Run one kernel serially on a backend (public for the
-    /// speculative-decoding driver).
-    pub fn run_on_pub(&mut self, backend: Backend, kernel: &KernelDesc) {
-        self.run_on(backend, kernel);
-    }
-
     /// The solved plan for an operator at a sequence length (exposed
     /// for the experiment harness).
     pub fn plan_for(&mut self, op: &'static str, shape: MatmulShape) -> PartitionPlan {
-        self.prefill_table
-            .get_or_solve(&self.prefill_solver, op, shape, Dominance::NpuDominant)
-            .plan
+        self.planner.prefill.plan(op, shape)
     }
 }
 
@@ -297,30 +196,12 @@ impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
     }
 
     fn try_prefill(&mut self, prompt_len: usize) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
-        let trace = prefill_trace(&self.cfg, prompt_len);
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        for op in &ops {
-            match op.role {
-                OpRole::WeightMatmul => {
-                    let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-                    let choice = self.prefill_table.get_or_solve(
-                        &self.prefill_solver,
-                        op.op,
-                        shape,
-                        Dominance::NpuDominant,
-                    );
-                    self.execute_plan(&choice.plan, shape, Dominance::NpuDominant);
-                }
-                _ => {
-                    let k = op.kernel.clone();
-                    self.run_on(Backend::Gpu, &k);
-                }
-            }
-        }
+        let start = self.exec.soc.clock();
+        self.planner
+            .prefill(&self.cfg, prompt_len, &mut self.exec)?;
         Ok(PhaseReport {
             tokens: prompt_len,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.exec.soc.clock() - start,
         })
     }
 
@@ -329,49 +210,29 @@ impl<P: CostProvider> Engine for HeteroTensorEngine<P> {
         prompt_len: usize,
         n_tokens: usize,
     ) -> Result<PhaseReport, EngineError> {
-        let start = self.soc.clock();
-        for t in 0..n_tokens {
-            let trace = decode_trace(&self.cfg, prompt_len + t + 1, 1);
-            let ops: Vec<_> = trace.iter_all().cloned().collect();
-            for op in &ops {
-                match op.role {
-                    OpRole::WeightMatmul => {
-                        let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-                        let choice = self.decode_table.get_or_solve(
-                            &self.decode_solver,
-                            op.op,
-                            shape,
-                            Dominance::GpuDominant,
-                        );
-                        self.execute_plan(&choice.plan, shape, Dominance::GpuDominant);
-                    }
-                    _ => {
-                        let k = op.kernel.clone();
-                        self.run_on(Backend::Gpu, &k);
-                    }
-                }
-            }
-        }
+        let start = self.exec.soc.clock();
+        self.planner
+            .decode(&self.cfg, prompt_len, n_tokens, &mut self.exec)?;
         Ok(PhaseReport {
             tokens: n_tokens,
-            elapsed: self.soc.clock() - start,
+            elapsed: self.exec.soc.clock() - start,
         })
     }
 
     fn enable_events(&mut self) {
-        self.events = Some(Vec::new());
+        self.exec.events = Some(Vec::new());
     }
 
     fn take_events(&mut self) -> Option<Vec<EngineEvent>> {
-        self.events.take()
+        self.exec.events.take()
     }
 
     fn soc(&self) -> &Soc {
-        &self.soc
+        &self.exec.soc
     }
 
     fn soc_mut(&mut self) -> &mut Soc {
-        &mut self.soc
+        &mut self.exec.soc
     }
 }
 

@@ -28,6 +28,7 @@ use hetero_soc::{calib, Backend, KernelDesc, Soc, SocConfig};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::report::PhaseReport;
+use crate::schedule::switch_to;
 use crate::trace::{EngineEvent, KernelName};
 
 /// A schedulable inference engine (timing mode).
@@ -265,21 +266,18 @@ pub(crate) fn run_serial_step(
     kernel: &KernelDesc,
 ) {
     let mechanism = soc.config().sync.mechanism;
-    if *current != Some(backend) {
-        if let Some(from) = *current {
-            let start = soc.clock();
-            soc.backend_switch();
-            if let Some(ev) = events {
-                ev.push(EngineEvent::Switch {
-                    from,
-                    to: backend,
-                    mechanism,
-                    start,
-                    end: soc.clock(),
-                });
-            }
+    if let Some(from) = switch_to(current, backend) {
+        let start = soc.clock();
+        soc.backend_switch();
+        if let Some(ev) = events {
+            ev.push(EngineEvent::Switch {
+                from,
+                to: backend,
+                mechanism,
+                start,
+                end: soc.clock(),
+            });
         }
-        *current = Some(backend);
     }
     let start = soc.clock();
     soc.run_serial(backend, std::slice::from_ref(kernel));

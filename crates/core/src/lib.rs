@@ -42,6 +42,7 @@ pub mod model;
 pub mod obs;
 pub mod report;
 pub mod runtime;
+mod schedule;
 pub mod spec_decode;
 pub mod trace;
 

@@ -11,13 +11,10 @@
 //! read once per step regardless of how many tokens are verified), so
 //! committed-token throughput rises with the acceptance rate.
 
-use hetero_profiler::RealExecProvider;
-use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
 use hetero_soc::Backend;
-use hetero_solver::{PlanTable, Solver, SolverConfig};
 
 use crate::engines::hetero_tensor::HeteroTensorEngine;
-use crate::engines::{gpu_kernel, hetero_soc_config, Engine};
+use crate::engines::{gpu_kernel, Engine};
 use crate::error::EngineError;
 use crate::trace::{decode_trace, OpRole};
 
@@ -56,41 +53,20 @@ pub fn run_speculative_hetero(
     step_commits: &[usize],
 ) -> Result<SpecDecodeReport, EngineError> {
     assert!(verify_rows >= 1, "verify at least one row");
-    let model = engine.model().clone();
-    // Plans for the speculative decode shape: graphs exist for the
-    // designated verification length.
-    let solver = Solver::new(
-        RealExecProvider::new(hetero_soc_config(SyncMechanism::Fast)),
-        SolverConfig {
-            sync: SyncModel::new(SyncMechanism::Fast),
-            ..SolverConfig::decode(verify_rows)
-        },
-    );
-    let mut table = PlanTable::new();
-
-    let start = engine.soc().clock();
+    // Plans for the speculative decode shape, solved by the engine's own
+    // planner: graphs exist for the designated verification length.
+    let mut plans = engine.planner.verify(verify_rows);
+    let start = engine.exec.soc.clock();
     let mut ctx = prompt_len;
-    let mut committed = 0usize;
     for &commit in step_commits {
-        let trace = decode_trace(&model, ctx + verify_rows, verify_rows);
-        let ops: Vec<_> = trace.iter_all().cloned().collect();
-        for op in &ops {
-            match op.role {
-                OpRole::WeightMatmul => {
-                    let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
-                    let choice = table.get_or_solve(&solver, op.op, shape, Dominance::GpuDominant);
-                    engine.execute_plan_pub(&choice.plan, shape, Dominance::GpuDominant);
-                }
-                _ => engine.run_on_pub(Backend::Gpu, &op.kernel),
-            }
-        }
+        let trace = decode_trace(&engine.cfg, ctx + verify_rows, verify_rows);
+        plans.walk(&trace, &mut engine.exec)?;
         ctx += commit;
-        committed += commit;
     }
     Ok(SpecDecodeReport {
         steps: step_commits.len(),
-        committed_tokens: committed,
-        elapsed: engine.soc().clock() - start,
+        committed_tokens: step_commits.iter().sum(),
+        elapsed: engine.exec.soc.clock() - start,
     })
 }
 
@@ -135,6 +111,7 @@ mod tests {
     use crate::engines::single::GpuTier;
     use crate::engines::SingleBackendEngine;
     use crate::model::ModelConfig;
+    use hetero_soc::sync::SyncMechanism;
     use hetero_workloads_testshim::simulate_steps_shim;
 
     // `hetero-workloads` depends on this crate, so tests generate the
@@ -225,6 +202,44 @@ mod tests {
             hetero_spec.tokens_per_sec(),
             gpu_spec.tokens_per_sec()
         );
+    }
+
+    #[test]
+    fn single_row_speculation_equals_decode_for_every_constructor() {
+        // One verified row committing one token per step is plain
+        // decoding: the verification plans must be the engine's own.
+        type Build = Box<dyn Fn(&ModelConfig) -> HeteroTensorEngine>;
+        let mut builds: Vec<(String, Build)> = vec![
+            (
+                "new".into(),
+                Box::new(|m| HeteroTensorEngine::new(m, SyncMechanism::Fast)),
+            ),
+            (
+                "gpu_derate(0.3)".into(),
+                Box::new(|m| HeteroTensorEngine::with_gpu_derate(m, SyncMechanism::Fast, 0.3)),
+            ),
+            (
+                "min_parallel_gain(0.5)".into(),
+                Box::new(|m| {
+                    HeteroTensorEngine::with_min_parallel_gain(m, SyncMechanism::Fast, 0.5)
+                }),
+            ),
+        ];
+        for spec in hetero_soc::specs::table1() {
+            if let Some(cfg) = hetero_soc::specs::project_config(&spec) {
+                builds.push((
+                    format!("soc_config({})", spec.soc),
+                    Box::new(move |m| HeteroTensorEngine::with_soc_config(m, cfg.clone())),
+                ));
+            }
+        }
+        for model in ModelConfig::evaluation_models() {
+            for (name, build) in &builds {
+                let spec = run_speculative_hetero(&mut build(&model), 256, 1, &[1; 8]).unwrap();
+                let decode = build(&model).decode(256, 8);
+                assert_eq!(spec.elapsed, decode.elapsed, "{} {name}", model.name);
+            }
+        }
     }
 
     #[test]
