@@ -47,6 +47,7 @@ pub(crate) fn lower(
     match plan {
         PartitionPlan::GpuOnly => sink.serial(Backend::Gpu, &gpu_kernel(shape)),
         PartitionPlan::NpuOnly { padded_m } => sink.serial(Backend::Npu, &npu_rows(*padded_m)),
+        // A sequence cut that leaves the GPU no rows is a pipe.
         PartitionPlan::NpuPipe { chunks, .. }
         | PartitionPlan::SeqCut {
             npu_chunks: chunks,
