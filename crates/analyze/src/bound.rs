@@ -46,11 +46,11 @@
 //!   and a seeded degraded session by [`bound_lint_models`] and
 //!   [`bound_lint_degraded_session`].
 
-use hetero_profiler::{CostInterval, RealExecProvider};
+use hetero_profiler::CostInterval;
 use hetero_soc::disturb::DisturbanceTrace;
-use hetero_soc::sync::{Dominance, SyncMechanism};
+use hetero_soc::sync::SyncMechanism;
 use hetero_soc::{SimTime, SocConfig};
-use hetero_solver::{RegionTable, Solver};
+use hetero_solver::RegionTable;
 use heterollm::admit::{HeteroMirror, PlanSite};
 use heterollm::engines::{hetero_soc_config, HeteroTensorEngine};
 use heterollm::kv::KvCache;
@@ -580,23 +580,12 @@ pub fn bound_lint_degraded_session(model: &ModelConfig, seed: u64, prompt_len: u
     report
 }
 
-/// A decode-phase cost interval cross-check used by the tests: the
-/// worklist interpreter over a plan's event intervals must reproduce
-/// the solver's closed form.
-pub fn interval_via_dag(
-    solver: &Solver<RealExecProvider>,
-    plan: &hetero_solver::PartitionPlan,
-    shape: hetero_tensor::shape::MatmulShape,
-    dominance: Dominance,
-) -> CostInterval {
-    let costs = solver.event_cost_intervals(plan, shape, dominance);
-    schedule_completion_interval(&SyncSchedule::for_plan(plan), &costs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_solver::{PartitionPlan, SolverConfig};
+    use hetero_profiler::RealExecProvider;
+    use hetero_soc::sync::Dominance;
+    use hetero_solver::{PartitionPlan, Solver, SolverConfig};
     use hetero_tensor::shape::MatmulShape;
 
     fn solver() -> Solver<RealExecProvider> {
@@ -604,6 +593,18 @@ mod tests {
             RealExecProvider::new(hetero_soc::SocConfig::snapdragon_8gen3()),
             SolverConfig::default(),
         )
+    }
+
+    /// The worklist interpreter over a plan's event intervals, to
+    /// cross-check against the solver's closed form.
+    fn interval_via_dag(
+        solver: &Solver<RealExecProvider>,
+        plan: &PartitionPlan,
+        shape: MatmulShape,
+        dominance: Dominance,
+    ) -> CostInterval {
+        let costs = solver.event_cost_intervals(plan, shape, dominance);
+        schedule_completion_interval(&SyncSchedule::for_plan(plan), &costs)
     }
 
     fn plans() -> Vec<PartitionPlan> {

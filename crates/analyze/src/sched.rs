@@ -9,7 +9,7 @@
 //! backends (a one-sided rendezvous is a wait on nothing and models a
 //! lost synchronization).
 
-use hetero_graph::partition::PartitionPlan;
+use hetero_graph::partition::{PartCols, PartRows, PartitionPlan, PlanJoin, PlanPart};
 use hetero_soc::Backend;
 use serde::{Deserialize, Serialize};
 
@@ -51,82 +51,45 @@ pub struct SyncSchedule {
 }
 
 impl SyncSchedule {
-    /// The canonical schedule a [`PartitionPlan`] implies.
+    /// The canonical schedule a [`PartitionPlan`] implies: one
+    /// submission per part of its layout, then its join.
     ///
-    /// Serial NPU plans chain a backend switch into the NPU dispatches;
-    /// parallel plans submit both sides independently and join them
-    /// with a rendezvous on the CPU control plane.
+    /// Parts on one backend chain in submission order; a backend
+    /// switch waits on the last NPU part, and a rendezvous on the CPU
+    /// control plane waits on the last part of each side.
     pub fn for_plan(plan: &PartitionPlan) -> Self {
+        let layout = plan.layout();
         let mut events = Vec::new();
-        let mut submit = |label: String, backend: Backend, waits_on: Vec<usize>| {
+        let (mut last_gpu, mut last_npu) = (None, None);
+        for part in layout.parts() {
+            let backend = part.backend();
+            let last = if backend == Backend::Gpu {
+                &mut last_gpu
+            } else {
+                &mut last_npu
+            };
             events.push(SyncEvent {
-                label,
+                label: submit_label(part),
                 backend,
                 kind: EventKind::Submit,
-                waits_on,
+                waits_on: last.iter().copied().collect(),
             });
-            events.len() - 1
-        };
-        match plan {
-            PartitionPlan::GpuOnly => {
-                submit("gpu kernel".into(), Backend::Gpu, vec![]);
-            }
-            PartitionPlan::NpuOnly { padded_m } => {
-                let s = submit(format!("npu graph {padded_m}"), Backend::Npu, vec![]);
-                events.push(SyncEvent {
-                    label: "switch to gpu consumer".into(),
-                    backend: Backend::Npu,
-                    kind: EventKind::Switch,
-                    waits_on: vec![s],
-                });
-            }
-            PartitionPlan::NpuPipe { chunks, .. }
-            | PartitionPlan::SeqCut {
-                npu_chunks: chunks,
-                gpu_rows: 0,
-            } => {
-                let mut prev: Option<usize> = None;
-                for c in chunks {
-                    let waits = prev.map(|p| vec![p]).unwrap_or_default();
-                    prev = Some(submit(format!("npu chunk {c}"), Backend::Npu, waits));
-                }
-                events.push(SyncEvent {
-                    label: "switch to gpu consumer".into(),
-                    backend: Backend::Npu,
-                    kind: EventKind::Switch,
-                    waits_on: prev.map(|p| vec![p]).unwrap_or_default(),
-                });
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { padded_m, gpu_cols } => {
-                let g = submit(format!("gpu cols {gpu_cols}"), Backend::Gpu, vec![]);
-                let n = submit(format!("npu graph {padded_m}"), Backend::Npu, vec![]);
-                events.push(SyncEvent {
-                    label: "rendezvous".into(),
-                    backend: Backend::Cpu,
-                    kind: EventKind::Rendezvous,
-                    waits_on: vec![g, n],
-                });
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let g = submit(format!("gpu rows {gpu_rows}"), Backend::Gpu, vec![]);
-                let mut prev: Option<usize> = None;
-                for c in npu_chunks {
-                    let waits = prev.map(|p| vec![p]).unwrap_or_default();
-                    prev = Some(submit(format!("npu chunk {c}"), Backend::Npu, waits));
-                }
-                let mut waits = vec![g];
-                waits.extend(prev);
-                events.push(SyncEvent {
-                    label: "rendezvous".into(),
-                    backend: Backend::Cpu,
-                    kind: EventKind::Rendezvous,
-                    waits_on: waits,
-                });
-            }
+            *last = Some(events.len() - 1);
+        }
+        match layout.join {
+            PlanJoin::None => {}
+            PlanJoin::Switch => events.push(SyncEvent {
+                label: "switch to gpu consumer".into(),
+                backend: Backend::Npu,
+                kind: EventKind::Switch,
+                waits_on: last_npu.into_iter().collect(),
+            }),
+            PlanJoin::Rendezvous => events.push(SyncEvent {
+                label: "rendezvous".into(),
+                backend: Backend::Cpu,
+                kind: EventKind::Rendezvous,
+                waits_on: last_gpu.into_iter().chain(last_npu).collect(),
+            }),
         }
         Self { events }
     }
@@ -144,6 +107,23 @@ impl SyncSchedule {
             }
         }
         (0..self.events.len()).filter(|&i| seen[i]).collect()
+    }
+}
+
+/// The label of a part's submission, e.g. `"npu chunk 512"`.
+fn submit_label(part: PlanPart) -> String {
+    match part {
+        PlanPart::Gpu {
+            cols: PartCols::Gpu(cols),
+            ..
+        } => format!("gpu cols {cols}"),
+        PlanPart::Gpu {
+            rows: PartRows::N(rows),
+            ..
+        } => format!("gpu rows {rows}"),
+        PlanPart::Gpu { .. } => "gpu kernel".into(),
+        PlanPart::NpuGraph { rows, .. } => format!("npu graph {rows}"),
+        PlanPart::NpuChunk { rows } => format!("npu chunk {rows}"),
     }
 }
 

@@ -45,6 +45,7 @@ use crate::integrity::{IntegrityCounters, IntegrityMode};
 use crate::kv::KvCache;
 use crate::model::{ModelConfig, ModelWeights};
 use crate::report::{IntegritySummary, PhaseReport};
+use crate::schedule::{lower, Sink};
 
 /// One verifiable region of a projection's output, as the partition
 /// plan produced it.
@@ -94,6 +95,18 @@ fn plan_tiles(plan: &PartitionPlan, m: usize, n: usize) -> Vec<Tile> {
         }
     }
     tiles
+}
+
+/// The functional engine charges lowered plans straight to its SoC,
+/// with no backend-switch machine.
+impl Sink for Soc {
+    fn serial(&mut self, backend: Backend, kernel: &KernelDesc) {
+        self.run_serial(backend, std::slice::from_ref(kernel));
+    }
+
+    fn parallel(&mut self, gpu: &[KernelDesc], npu: &[KernelDesc], dominance: Dominance) {
+        self.run_parallel(gpu, npu, dominance);
+    }
 }
 
 /// Real-math engine executing solver-partitioned kernels.
@@ -197,52 +210,7 @@ impl FunctionalHeteroEngine {
             .get_or_solve(&self.solver, op, shape, Dominance::NpuDominant);
 
         // Charge simulated time exactly as the timing engine would.
-        use hetero_solver::PartitionPlan::*;
-        match &choice.plan {
-            GpuOnly => {
-                self.soc.run_serial(Backend::Gpu, &[gpu_kernel(shape)]);
-            }
-            NpuOnly { padded_m } => {
-                self.soc.run_serial(
-                    Backend::Npu,
-                    &[npu_kernel(MatmulShape {
-                        m: *padded_m,
-                        ..shape
-                    })],
-                );
-            }
-            NpuPipe { chunks, .. } => {
-                let kernels: Vec<_> = chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                self.soc.run_serial(Backend::Npu, &kernels);
-            }
-            RowCut { gpu_cols, padded_m } | HybridCut { gpu_cols, padded_m } => {
-                let gpu = gpu_kernel(MatmulShape::new(m, k, *gpu_cols));
-                let npu = npu_kernel(MatmulShape::new(*padded_m, k, n - gpu_cols));
-                self.soc
-                    .run_parallel(&[gpu], &[npu], Dominance::NpuDominant);
-            }
-            SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                let npu: Vec<_> = npu_chunks
-                    .iter()
-                    .map(|&c| npu_kernel(MatmulShape { m: c, ..shape }))
-                    .collect();
-                if *gpu_rows == 0 {
-                    self.soc.run_serial(Backend::Npu, &npu);
-                } else {
-                    let gpu = gpu_kernel(MatmulShape {
-                        m: *gpu_rows,
-                        ..shape
-                    });
-                    self.soc.run_parallel(&[gpu], &npu, Dominance::NpuDominant);
-                }
-            }
-        }
+        lower(&choice.plan, shape, Dominance::NpuDominant, &mut self.soc);
 
         // Execute the real math through the same plan.
         let mut out = matmul_partitioned(x, w, &choice.plan)?;

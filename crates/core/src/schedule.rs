@@ -7,8 +7,10 @@
 //! interpreters: the tensor engine's executor runs each step on the
 //! simulated SoC, and the static mirror (`crate::admit::HeteroMirror`)
 //! prices it as a `[lo, hi]` interval. Because both consume the same
-//! walk, the mirror cannot drift from what the engine runs.
+//! walk, the mirror cannot drift from what the engine runs. The
+//! functional engine charges its own plans through the same [`lower`].
 
+use hetero_graph::partition::{PlanJoin, PlanPart};
 use hetero_profiler::CostProvider;
 use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
 use hetero_soc::{Backend, KernelDesc};
@@ -36,43 +38,35 @@ pub(crate) fn switch_to(current: &mut Option<Backend>, backend: Backend) -> Opti
     current.replace(backend).filter(|&from| from != backend)
 }
 
-/// Lower one partition plan for a logical Matmul into sink steps.
+/// Lower one partition plan for a logical Matmul into sink steps:
+/// serial plans run each part of the plan's layout alone, parallel
+/// plans run the GPU part against the NPU parts.
 pub(crate) fn lower(
     plan: &PartitionPlan,
     shape: MatmulShape,
     dominance: Dominance,
     sink: &mut impl Sink,
 ) {
-    let npu_rows = |m| npu_kernel(MatmulShape { m, ..shape });
-    match plan {
-        PartitionPlan::GpuOnly => sink.serial(Backend::Gpu, &gpu_kernel(shape)),
-        PartitionPlan::NpuOnly { padded_m } => sink.serial(Backend::Npu, &npu_rows(*padded_m)),
-        // A sequence cut that leaves the GPU no rows is a pipe.
-        PartitionPlan::NpuPipe { chunks, .. }
-        | PartitionPlan::SeqCut {
-            npu_chunks: chunks,
-            gpu_rows: 0,
-        } => {
-            for &c in chunks {
-                sink.serial(Backend::Npu, &npu_rows(c));
-            }
+    let layout = plan.layout();
+    let kernel = |part: PlanPart| match part.backend() {
+        Backend::Gpu => gpu_kernel(part.shape(shape)),
+        _ => npu_kernel(part.shape(shape)),
+    };
+    if layout.join != PlanJoin::Rendezvous {
+        for part in layout.parts() {
+            sink.serial(part.backend(), &kernel(part));
         }
-        PartitionPlan::RowCut { gpu_cols, padded_m }
-        | PartitionPlan::HybridCut { gpu_cols, padded_m } => {
-            let gpu = gpu_kernel(MatmulShape::new(shape.m, shape.k, *gpu_cols));
-            let npu = npu_kernel(MatmulShape::new(*padded_m, shape.k, shape.n - gpu_cols));
-            sink.parallel(&[gpu], &[npu], dominance);
-        }
-        PartitionPlan::SeqCut {
-            npu_chunks,
-            gpu_rows,
-        } => {
-            let gpu = gpu_kernel(MatmulShape {
-                m: *gpu_rows,
-                ..shape
-            });
-            let npu: Vec<KernelDesc> = npu_chunks.iter().map(|&c| npu_rows(c)).collect();
-            sink.parallel(&[gpu], &npu, dominance);
+        return;
+    }
+    let gpu = layout.gpu.map(kernel);
+    // A single NPU part stays on the stack.
+    let mut npu = layout.npu().map(kernel);
+    match (npu.next(), npu.next()) {
+        (None, _) => sink.parallel(gpu.as_slice(), &[], dominance),
+        (Some(one), None) => sink.parallel(gpu.as_slice(), &[one], dominance),
+        (Some(a), Some(b)) => {
+            let all: Vec<KernelDesc> = [a, b].into_iter().chain(npu).collect();
+            sink.parallel(gpu.as_slice(), &all, dominance);
         }
     }
 }

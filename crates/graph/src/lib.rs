@@ -20,7 +20,10 @@
 //! - [`partition`] defines [`partition::PartitionPlan`] — the GPU/NPU
 //!   split of one Matmul — together with its structural invariants
 //!   (shape conservation, tile alignment, graph membership), shared by
-//!   the solver's debug validation and the `hetero-analyze` checker.
+//!   the solver's debug validation and the `hetero-analyze` checker,
+//!   and its one submission layout ([`partition::PlanLayout`]), read by
+//!   the engines, the solver's bounds, the region tables and the
+//!   analyzer's sync schedules.
 
 pub mod cache;
 pub mod compile;

@@ -11,8 +11,17 @@
 //! plan-shape invariants. The solver re-checks its own output through
 //! them in debug builds (behind its `validate` feature) and the
 //! analyzer wraps them into named diagnostics.
+//!
+//! [`PartitionPlan::layout`] is the single source of truth for how a
+//! plan runs: its GPU part, its NPU parts in submission order, and the
+//! backend switch or rendezvous that ends them (§4.2). The engines
+//! lower it to kernels, the solver prices it as cost intervals, the
+//! region tables derive buffer lifetimes from it, and the analyzer
+//! builds its sync schedules from it — schedule step `i` is part `i`,
+//! and the join, if any, is the last step.
 
-use hetero_soc::SimTime;
+use hetero_soc::{Backend, SimTime};
+use hetero_tensor::shape::MatmulShape;
 use serde::{Deserialize, Serialize};
 
 /// How one Matmul `[m,k] x [k,n]` is split across backends (§4.1).
@@ -75,6 +84,47 @@ impl PartitionPlan {
     /// Whether the NPU participates at all.
     pub fn uses_npu(&self) -> bool {
         !matches!(self, Self::GpuOnly)
+    }
+
+    /// How this plan runs: its parts in submission order and their
+    /// join.
+    ///
+    /// The join follows the variant, not which sides are non-empty:
+    /// parallel plans end in a rendezvous, serial NPU plans in a
+    /// backend switch, and `GpuOnly` in neither. A sequence cut that
+    /// leaves the GPU no rows has no GPU part.
+    pub fn layout(&self) -> PlanLayout<'_> {
+        let join = if self.is_parallel() {
+            PlanJoin::Rendezvous
+        } else if self.uses_npu() {
+            PlanJoin::Switch
+        } else {
+            PlanJoin::None
+        };
+        let (gpu, graph, chunks): (_, _, &[usize]) = match self {
+            Self::GpuOnly => (Some((PartRows::All, PartCols::All)), None, &[]),
+            Self::NpuOnly { padded_m } => (None, Some((*padded_m, PartCols::All)), &[]),
+            Self::NpuPipe { chunks, .. } => (None, None, chunks),
+            Self::RowCut { gpu_cols, padded_m } | Self::HybridCut { padded_m, gpu_cols } => (
+                Some((PartRows::All, PartCols::Gpu(*gpu_cols))),
+                Some((*padded_m, PartCols::Rest(*gpu_cols))),
+                &[],
+            ),
+            Self::SeqCut {
+                npu_chunks,
+                gpu_rows,
+            } => (
+                (*gpu_rows > 0).then_some((PartRows::N(*gpu_rows), PartCols::All)),
+                None,
+                npu_chunks,
+            ),
+        };
+        PlanLayout {
+            gpu: gpu.map(|(rows, cols)| PlanPart::Gpu { rows, cols }),
+            graph: graph.map(|(rows, cols)| PlanPart::NpuGraph { rows, cols }),
+            chunks,
+            join,
+        }
     }
 
     /// Short label for reports.
@@ -250,6 +300,123 @@ pub struct PlanChoice {
     pub est_time: SimTime,
 }
 
+/// Activation rows a GPU part computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartRows {
+    /// All `m` rows of the problem.
+    All,
+    /// The sequence cut's GPU margin.
+    N(usize),
+}
+
+/// Output columns a part computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartCols {
+    /// All `n` output features.
+    All,
+    /// A row cut's GPU share: this many columns.
+    Gpu(usize),
+    /// A row cut's NPU share: the `n − gpu_cols` columns the GPU
+    /// leaves; holds `gpu_cols`.
+    Rest(usize),
+}
+
+/// One submission of a [`PlanLayout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanPart {
+    /// One GPU kernel.
+    Gpu {
+        /// Rows it computes.
+        rows: PartRows,
+        /// Columns it computes.
+        cols: PartCols,
+    },
+    /// One NPU graph of a (possibly padded) sequence size.
+    NpuGraph {
+        /// The graph's sequence size; ≥ the rows it covers.
+        rows: usize,
+        /// Columns it computes.
+        cols: PartCols,
+    },
+    /// One standard-size NPU chunk over all columns.
+    NpuChunk {
+        /// The chunk's sequence size.
+        rows: usize,
+    },
+}
+
+impl PlanPart {
+    /// The backend the part runs on.
+    pub fn backend(self) -> Backend {
+        match self {
+            Self::Gpu { .. } => Backend::Gpu,
+            Self::NpuGraph { .. } | Self::NpuChunk { .. } => Backend::Npu,
+        }
+    }
+
+    /// The sub-problem the part runs when the plan solves `problem`.
+    pub fn shape(self, problem: MatmulShape) -> MatmulShape {
+        let n = |cols| match cols {
+            PartCols::All => problem.n,
+            PartCols::Gpu(c) => c,
+            PartCols::Rest(gpu_cols) => problem.n - gpu_cols,
+        };
+        let (m, n) = match self {
+            Self::Gpu {
+                rows: PartRows::All,
+                cols,
+            } => (problem.m, n(cols)),
+            Self::Gpu {
+                rows: PartRows::N(rows),
+                cols,
+            }
+            | Self::NpuGraph { rows, cols } => (rows, n(cols)),
+            Self::NpuChunk { rows } => (rows, problem.n),
+        };
+        MatmulShape { m, n, ..problem }
+    }
+}
+
+/// How a plan's parts end (§4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanJoin {
+    /// Nothing: the GPU result is already where its consumer runs.
+    None,
+    /// A serial handoff of the NPU result to the GPU consumer.
+    Switch,
+    /// A parallel section's join: both sides' results become visible.
+    Rendezvous,
+}
+
+/// The submission layout of a [`PartitionPlan`]: the GPU part (if
+/// any), then the NPU parts in submission order, then the join.
+/// Borrowed from the plan, so reading it allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanLayout<'a> {
+    /// The GPU part, submitted first.
+    pub gpu: Option<PlanPart>,
+    /// The one NPU graph of a graph plan.
+    graph: Option<PlanPart>,
+    /// The NPU chunk sizes of a chunked plan.
+    chunks: &'a [usize],
+    /// How the parts end.
+    pub join: PlanJoin,
+}
+
+impl<'a> PlanLayout<'a> {
+    /// The NPU parts, in submission order.
+    pub fn npu(&self) -> impl Iterator<Item = PlanPart> + 'a {
+        let chunks = self.chunks.iter().map(|&rows| PlanPart::NpuChunk { rows });
+        self.graph.into_iter().chain(chunks)
+    }
+
+    /// Every part in submission order: the GPU part, then the NPU
+    /// parts.
+    pub fn parts(&self) -> impl Iterator<Item = PlanPart> + 'a {
+        self.gpu.into_iter().chain(self.npu())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,6 +575,154 @@ mod tests {
         assert!(good.membership_violations(&std).is_empty());
         let bad = PartitionPlan::NpuOnly { padded_m: 96 };
         assert_eq!(bad.membership_violations(&std).len(), 1);
+    }
+
+    #[test]
+    fn layout_per_variant_and_degenerate_form() {
+        use PartCols::{Gpu, Rest};
+        use PlanJoin::{Rendezvous, Switch};
+        let gpu = |rows, cols| PlanPart::Gpu { rows, cols };
+        let graph = |rows, cols| PlanPart::NpuGraph { rows, cols };
+        let chunk = |rows| PlanPart::NpuChunk { rows };
+        let all = PartCols::All;
+        let cases = [
+            (
+                PartitionPlan::GpuOnly,
+                vec![gpu(PartRows::All, all)],
+                PlanJoin::None,
+            ),
+            (
+                PartitionPlan::NpuOnly { padded_m: 512 },
+                vec![graph(512, all)],
+                Switch,
+            ),
+            (
+                PartitionPlan::NpuPipe {
+                    chunks: vec![256, 64],
+                    padded_rows: 20,
+                },
+                vec![chunk(256), chunk(64)],
+                Switch,
+            ),
+            (
+                PartitionPlan::NpuPipe {
+                    chunks: vec![],
+                    padded_rows: 0,
+                },
+                vec![],
+                Switch,
+            ),
+            (
+                PartitionPlan::RowCut {
+                    gpu_cols: 1024,
+                    padded_m: 512,
+                },
+                vec![gpu(PartRows::All, Gpu(1024)), graph(512, Rest(1024))],
+                Rendezvous,
+            ),
+            (
+                PartitionPlan::RowCut {
+                    gpu_cols: 0,
+                    padded_m: 512,
+                },
+                vec![gpu(PartRows::All, Gpu(0)), graph(512, Rest(0))],
+                Rendezvous,
+            ),
+            (
+                PartitionPlan::HybridCut {
+                    padded_m: 512,
+                    gpu_cols: 1024,
+                },
+                vec![gpu(PartRows::All, Gpu(1024)), graph(512, Rest(1024))],
+                Rendezvous,
+            ),
+            (
+                PartitionPlan::HybridCut {
+                    padded_m: 512,
+                    gpu_cols: 0,
+                },
+                vec![gpu(PartRows::All, Gpu(0)), graph(512, Rest(0))],
+                Rendezvous,
+            ),
+            (
+                PartitionPlan::SeqCut {
+                    npu_chunks: vec![256, 32],
+                    gpu_rows: 12,
+                },
+                vec![gpu(PartRows::N(12), all), chunk(256), chunk(32)],
+                Rendezvous,
+            ),
+            (
+                PartitionPlan::SeqCut {
+                    npu_chunks: vec![256, 32],
+                    gpu_rows: 0,
+                },
+                vec![chunk(256), chunk(32)],
+                Switch,
+            ),
+            // One-sided: the join still follows the variant.
+            (
+                PartitionPlan::SeqCut {
+                    npu_chunks: vec![],
+                    gpu_rows: 300,
+                },
+                vec![gpu(PartRows::N(300), all)],
+                Rendezvous,
+            ),
+        ];
+        for (plan, parts, join) in cases {
+            let layout = plan.layout();
+            assert_eq!(layout.parts().collect::<Vec<_>>(), parts, "{plan:?}");
+            assert_eq!(layout.join, join, "{plan:?}");
+            let gpu_first = parts.first().filter(|p| p.backend() == Backend::Gpu);
+            assert_eq!(layout.gpu.as_ref(), gpu_first, "{plan:?}");
+            assert!(
+                layout.npu().all(|p| p.backend() == Backend::Npu),
+                "{plan:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parts_project_onto_the_problem() {
+        let problem = MatmulShape::new(300, 4096, 4096);
+        for (part, (m, n)) in [
+            (
+                PlanPart::Gpu {
+                    rows: PartRows::All,
+                    cols: PartCols::All,
+                },
+                (300, 4096),
+            ),
+            (
+                PlanPart::Gpu {
+                    rows: PartRows::All,
+                    cols: PartCols::Gpu(1024),
+                },
+                (300, 1024),
+            ),
+            (
+                PlanPart::Gpu {
+                    rows: PartRows::N(12),
+                    cols: PartCols::All,
+                },
+                (12, 4096),
+            ),
+            (
+                PlanPart::NpuGraph {
+                    rows: 512,
+                    cols: PartCols::Rest(1024),
+                },
+                (512, 3072),
+            ),
+            (PlanPart::NpuChunk { rows: 256 }, (256, 4096)),
+        ] {
+            assert_eq!(
+                part.shape(problem),
+                MatmulShape::new(m, 4096, n),
+                "{part:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The solver's `solve` picks a plan by *estimating* its latency; this
 //! module exposes the same cost arithmetic as a sound interval per
-//! plan, aligned with the plan's sync-schedule event layout so the
-//! abstract interpreter in `hetero-analyze` can propagate the
-//! intervals through the submission DAG.
+//! plan, one interval per part of the plan's
+//! [`PlanLayout`](hetero_graph::partition::PlanLayout) plus one for its
+//! join, so the abstract interpreter in `hetero-analyze` can propagate
+//! the intervals through the submission DAG.
 //!
 //! Soundness argument (matched against `hetero_soc::Soc`):
 //!
@@ -21,44 +22,50 @@
 //! - Rendezvous and backend-switch costs are fixed constants of the
 //!   sync model, unaffected by bandwidth conditions: exact points.
 
+use hetero_graph::partition::{PartitionPlan, PlanJoin, PlanPart};
 use hetero_profiler::db::BwCondition;
 use hetero_profiler::{CostInterval, CostProvider};
 use hetero_soc::sync::Dominance;
+use hetero_soc::Backend;
 use hetero_tensor::shape::MatmulShape;
 
-use crate::plan::PartitionPlan;
 use crate::solver::Solver;
 
 impl<P: CostProvider> Solver<P> {
-    /// Interval cost of one NPU chunk of `shape`'s problem at `m`
-    /// rows: `[solo, contended]` under the solver's operand-permutation
-    /// convention.
-    fn npu_interval(&self, m: usize, shape: MatmulShape) -> CostInterval {
-        let s = MatmulShape { m, ..shape };
-        let lo = self.npu_cost(s, BwCondition::Solo);
-        let hi = self.npu_cost(s, BwCondition::Contended).max(lo);
-        CostInterval { lo, hi }
+    /// Interval cost of one part of a plan solving `shape`: `[solo,
+    /// contended]` inside a parallel section (under the solver's
+    /// operand-permutation convention), the exact solo cost otherwise.
+    fn part_interval(&self, part: PlanPart, shape: MatmulShape, join: PlanJoin) -> CostInterval {
+        let s = part.shape(shape);
+        let cost = |condition| match part.backend() {
+            Backend::Gpu => self.gpu_cost(s, condition),
+            _ => self.npu_cost(s, condition),
+        };
+        let lo = cost(BwCondition::Solo);
+        if join == PlanJoin::Rendezvous {
+            CostInterval {
+                lo,
+                hi: cost(BwCondition::Contended).max(lo),
+            }
+        } else {
+            CostInterval::exact(lo)
+        }
     }
 
-    /// Interval cost of a GPU sub-problem.
-    fn gpu_interval(&self, s: MatmulShape) -> CostInterval {
-        let lo = self.gpu_cost(s, BwCondition::Solo);
-        let hi = self.gpu_cost(s, BwCondition::Contended).max(lo);
-        CostInterval { lo, hi }
+    /// Exact cost of a plan's join (`ZERO` when it has none).
+    fn join_interval(&self, join: PlanJoin, dominance: Dominance) -> CostInterval {
+        let sync = &self.config().sync;
+        match join {
+            PlanJoin::None => CostInterval::ZERO,
+            PlanJoin::Switch => CostInterval::exact(sync.backend_switch()),
+            PlanJoin::Rendezvous => CostInterval::exact(sync.rendezvous(dominance)),
+        }
     }
 
-    /// Per-event cost intervals for `plan`, in the exact order of
-    /// `SyncSchedule::for_plan`'s event layout:
+    /// Per-event cost intervals for `plan`: one per part of its layout
+    /// in submission order, then one for its switch or rendezvous.
     ///
-    /// | plan | events |
-    /// |---|---|
-    /// | `GpuOnly` | `[gpu submit]` |
-    /// | `NpuOnly` | `[npu submit, switch]` |
-    /// | `NpuPipe` / `SeqCut{gpu_rows: 0}` | `[npu submit…, switch]` |
-    /// | `RowCut` / `HybridCut` | `[gpu submit, npu submit, rendezvous]` |
-    /// | `SeqCut{gpu_rows > 0}` | `[gpu submit, npu submit…, rendezvous]` |
-    ///
-    /// Serial plans run each side solo (exact points); parallel plans
+    /// Serial plans run each part solo (exact points); parallel plans
     /// carry `[solo, contended]` compute intervals with an exact
     /// rendezvous constant.
     pub fn event_cost_intervals(
@@ -67,74 +74,21 @@ impl<P: CostProvider> Solver<P> {
         shape: MatmulShape,
         dominance: Dominance,
     ) -> Vec<CostInterval> {
-        let cfg = self.config();
-        let switch = CostInterval::exact(cfg.sync.backend_switch());
-        let rendezvous = CostInterval::exact(cfg.sync.rendezvous(dominance));
-        match plan {
-            PartitionPlan::GpuOnly => {
-                vec![CostInterval::exact(self.gpu_cost(shape, BwCondition::Solo))]
-            }
-            PartitionPlan::NpuOnly { padded_m } => {
-                let s = MatmulShape {
-                    m: *padded_m,
-                    ..shape
-                };
-                vec![
-                    CostInterval::exact(self.npu_cost(s, BwCondition::Solo)),
-                    switch,
-                ]
-            }
-            PartitionPlan::NpuPipe { chunks, .. } => {
-                let mut out: Vec<CostInterval> = chunks
-                    .iter()
-                    .map(|&c| {
-                        let s = MatmulShape { m: c, ..shape };
-                        CostInterval::exact(self.npu_cost(s, BwCondition::Solo))
-                    })
-                    .collect();
-                out.push(switch);
-                out
-            }
-            PartitionPlan::RowCut { gpu_cols, padded_m }
-            | PartitionPlan::HybridCut { padded_m, gpu_cols } => {
-                vec![
-                    self.gpu_interval(MatmulShape::new(shape.m, shape.k, *gpu_cols)),
-                    self.npu_interval(
-                        *padded_m,
-                        MatmulShape::new(shape.m, shape.k, shape.n - gpu_cols),
-                    ),
-                    rendezvous,
-                ]
-            }
-            PartitionPlan::SeqCut {
-                npu_chunks,
-                gpu_rows,
-            } => {
-                if *gpu_rows == 0 {
-                    let mut out: Vec<CostInterval> = npu_chunks
-                        .iter()
-                        .map(|&c| {
-                            let s = MatmulShape { m: c, ..shape };
-                            CostInterval::exact(self.npu_cost(s, BwCondition::Solo))
-                        })
-                        .collect();
-                    out.push(switch);
-                    return out;
-                }
-                let mut out = vec![self.gpu_interval(MatmulShape {
-                    m: *gpu_rows,
-                    ..shape
-                })];
-                out.extend(npu_chunks.iter().map(|&c| self.npu_interval(c, shape)));
-                out.push(rendezvous);
-                out
-            }
+        let layout = plan.layout();
+        let mut out: Vec<CostInterval> = layout
+            .parts()
+            .map(|p| self.part_interval(p, shape, layout.join))
+            .collect();
+        if layout.join != PlanJoin::None {
+            out.push(self.join_interval(layout.join, dominance));
         }
+        out
     }
 
     /// Closed-form completion-time interval of `plan`: serial plans sum
-    /// their events; parallel plans take the pointwise max of the GPU
-    /// side against the summed NPU side, plus the rendezvous constant.
+    /// their parts and join; parallel plans take the pointwise max of
+    /// the GPU part against the summed NPU parts, plus the rendezvous
+    /// constant.
     ///
     /// For parallel plans, `hi` equals the estimate `solve` would
     /// assign the plan (contended max + rendezvous), and serial
@@ -146,28 +100,18 @@ impl<P: CostProvider> Solver<P> {
         shape: MatmulShape,
         dominance: Dominance,
     ) -> CostInterval {
-        let events = self.event_cost_intervals(plan, shape, dominance);
-        match plan {
-            PartitionPlan::GpuOnly
-            | PartitionPlan::NpuOnly { .. }
-            | PartitionPlan::NpuPipe { .. } => {
-                events.into_iter().fold(CostInterval::ZERO, |a, b| a + b)
-            }
-            PartitionPlan::SeqCut { gpu_rows: 0, .. } => {
-                events.into_iter().fold(CostInterval::ZERO, |a, b| a + b)
-            }
-            PartitionPlan::RowCut { .. } | PartitionPlan::HybridCut { .. } => {
-                let gpu = events[0];
-                let npu = events[1];
-                gpu.join_max(npu) + events[2]
-            }
-            PartitionPlan::SeqCut { .. } => {
-                let gpu = events[0];
-                let npu = events[1..events.len() - 1]
-                    .iter()
-                    .fold(CostInterval::ZERO, |a, &b| a + b);
-                gpu.join_max(npu) + events[events.len() - 1]
-            }
+        let layout = plan.layout();
+        let price = |p| self.part_interval(p, shape, layout.join);
+        let gpu = layout.gpu.map_or(CostInterval::ZERO, price);
+        let npu = layout
+            .npu()
+            .map(price)
+            .fold(CostInterval::ZERO, |a, b| a + b);
+        let join = self.join_interval(layout.join, dominance);
+        if layout.join == PlanJoin::Rendezvous {
+            gpu.join_max(npu) + join
+        } else {
+            gpu + npu + join
         }
     }
 }
@@ -236,41 +180,6 @@ mod tests {
                 iv.lo,
                 iv.hi
             );
-        }
-    }
-
-    #[test]
-    fn event_layout_matches_schedule_shape() {
-        let s = solver();
-        let shape = MatmulShape::new(300, 4096, 4096);
-        for (plan, expect) in [
-            (PartitionPlan::GpuOnly, 1),
-            (PartitionPlan::NpuOnly { padded_m: 512 }, 2),
-            (
-                PartitionPlan::NpuPipe {
-                    chunks: vec![256, 64],
-                    padded_rows: 20,
-                },
-                3,
-            ),
-            (
-                PartitionPlan::HybridCut {
-                    padded_m: 512,
-                    gpu_cols: 1024,
-                },
-                3,
-            ),
-            (
-                PartitionPlan::SeqCut {
-                    npu_chunks: vec![256, 32],
-                    gpu_rows: 12,
-                },
-                4,
-            ),
-        ] {
-            let events = s.event_cost_intervals(&plan, shape, Dominance::NpuDominant);
-            assert_eq!(events.len(), expect, "{plan:?}");
-            assert!(events.iter().all(CostInterval::is_valid), "{plan:?}");
         }
     }
 }

@@ -12,6 +12,7 @@
 //!
 //! [`OnlineProfiler`]: ../hetero_fleet/profiler/struct.OnlineProfiler.html
 
+use hetero_graph::partition::PartitionPlan;
 use hetero_profiler::db::BwCondition;
 use hetero_profiler::CostProvider;
 use hetero_soc::sync::Dominance;
@@ -19,7 +20,6 @@ use hetero_soc::{Backend, SimTime};
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 
-use crate::plan::PartitionPlan;
 use crate::solver::{Solver, SolverConfig};
 
 /// ppm scale of drift ratios (matches `hetero_fleet::profiler`).

@@ -1,5 +1,6 @@
 //! The partition solver.
 
+use hetero_graph::partition::{PartitionPlan, PlanChoice};
 use hetero_graph::plan::{candidate_plans, next_standard, pipe_plan};
 use hetero_profiler::db::BwCondition;
 use hetero_profiler::CostProvider;
@@ -8,8 +9,6 @@ use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
 use hetero_soc::{Backend, SimTime};
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
-
-use crate::plan::{PartitionPlan, PlanChoice};
 
 /// Solver configuration.
 #[derive(Debug, Clone)]

@@ -6,11 +6,11 @@
 
 use std::collections::BTreeMap;
 
+use hetero_graph::partition::PlanChoice;
 use hetero_profiler::CostProvider;
 use hetero_soc::sync::Dominance;
 use hetero_tensor::shape::MatmulShape;
 
-use crate::plan::PlanChoice;
 use crate::solver::Solver;
 
 /// Memoized plan store keyed by `(operator name, sequence length)`.

@@ -9,11 +9,13 @@
 # --json`; `analyze bound|explore|integrity --json`; `analyze race
 # --json` with and without `--mechanism driver`; `fleet_sweep --devices
 # 1000 --seed 42 --json`; `rollout_sweep --seed 42 --json`; `fault_sweep
-# --seed 42 --json`. Stdout, stderr and the exit code of each are
-# compared, as are the experiment JSON files the binaries write under
-# target/experiments/ and the EXPERIMENTS.md that `report` regenerates.
+# --seed 42 --json`; `fault_sweep --integrity --seed 42 --requests 12
+# --json` (the CI SDC gate, which runs the functional engine's timing
+# path). Stdout, stderr and the exit code of each are compared, as are
+# the experiment JSON files the binaries write under target/experiments/
+# and the EXPERIMENTS.md that `report` regenerates.
 # Masked before comparing: each tree's own path, and the wall-clock rates
-# of bench_sim (its table rows and bench_sim.json).
+# of bench_sim (its table rows, padding included, and bench_sim.json).
 #
 # Both trees build offline in release mode, each into its own target/.
 # `report` rewrites this checkout's EXPERIMENTS.md; the file is restored
@@ -61,6 +63,7 @@ analyze race --mechanism driver --json
 fleet_sweep --devices 1000 --seed 42 --json
 rollout_sweep --seed 42 --json
 fault_sweep --seed 42 --json
+fault_sweep --integrity --seed 42 --requests 12 --json
 EOF
 }
 
@@ -86,7 +89,7 @@ run() {
     done
     cp "$tree/EXPERIMENTS.md" "$out/EXPERIMENTS.md"
     sed -i "s|$tree|<tree>|g" "$out"/*.out "$out"/*.err "$out/EXPERIMENTS.md"
-    sed -i -E '/ (sessions|events|MFLOP)\/s /s/[0-9]+$/<rate>/' "$out/bench_sim.out"
+    sed -i -E '/ (sessions|events|MFLOP)\/s /s/ +[0-9]+$/ <rate>/' "$out/bench_sim.out"
 }
 
 run "$base" "$tmp/out/rev"
