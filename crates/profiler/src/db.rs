@@ -199,6 +199,26 @@ mod tests {
     }
 
     #[test]
+    fn json_bytes_are_a_pair_list() {
+        let mut db = ProfileDb::new();
+        db.record(key(64), SimTime::from_micros(456));
+        db.record(key(32), SimTime::from_micros(123));
+        let entry = |m: usize, ns: u64| {
+            format!(
+                r#"[{{"backend":2,"m":{m},"k":64,"n":64,"act_bits":16,"weight_bits":4,"condition":"Solo"}},{ns}]"#
+            )
+        };
+        assert_eq!(
+            db.to_json().unwrap(),
+            format!(
+                r#"{{"entries":[{},{}]}}"#,
+                entry(32, 123_000),
+                entry(64, 456_000)
+            )
+        );
+    }
+
+    #[test]
     fn key_roundtrips_shape() {
         let k = key(48);
         assert_eq!(k.shape(), MatmulShape::new(48, 64, 64));
