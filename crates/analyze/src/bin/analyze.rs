@@ -356,17 +356,18 @@ fn main() -> ExitCode {
                             }
                         }
                     };
-                    if let Ok(pair) = serde_json::from_str::<hetero_fleet::FleetLogPair>(&text) {
-                        vec![pair.robust, pair.naive]
-                    } else {
-                        match serde_json::from_str::<hetero_fleet::RolloutLogSet>(&text) {
-                            Ok(set) => set.runs,
-                            Err(e) => {
-                                eprintln!(
-                                    "cannot parse {path} as a fleet event-log pair or a rollout \
-                                     log set: {e}"
-                                );
-                                return ExitCode::from(2);
+                    match serde_json::from_str::<hetero_fleet::FleetLogPair>(&text) {
+                        Ok(pair) => vec![pair.robust, pair.naive],
+                        Err(pair_err) => {
+                            match serde_json::from_str::<hetero_fleet::RolloutLogSet>(&text) {
+                                Ok(set) => set.runs,
+                                Err(set_err) => {
+                                    eprintln!(
+                                        "cannot parse {path} as a fleet event-log pair \
+                                         ({pair_err}) or a rollout log set ({set_err})"
+                                    );
+                                    return ExitCode::from(2);
+                                }
                             }
                         }
                     }

@@ -1,6 +1,6 @@
 //! Typed findings and the aggregated report.
 
-use serde::{Content, ContentError, Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Writer};
 
 /// How severe a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -16,19 +16,17 @@ pub enum Severity {
 // Manual impls so the JSON encoding is the same lowercase string the
 // severity displays as ("warn"/"deny"), not the variant name.
 impl Serialize for Severity {
-    fn to_content(&self) -> Content {
-        Content::Str(self.to_string())
+    fn write_json(&self, w: &mut Writer) {
+        w.str(&self.to_string());
     }
 }
 
 impl<'de> Deserialize<'de> for Severity {
-    fn from_content(content: &Content) -> Result<Self, ContentError> {
-        match content.as_str() {
-            Some("warn") => Ok(Self::Warn),
-            Some("deny") => Ok(Self::Deny),
-            _ => Err(ContentError::custom(format!(
-                "expected \"warn\" or \"deny\", got {content}"
-            ))),
+    fn read_json(r: &mut Reader<'de>) -> Result<Self, serde::Error> {
+        match &*r.read_str()? {
+            "warn" => Ok(Self::Warn),
+            "deny" => Ok(Self::Deny),
+            other => Err(r.error(format_args!("expected \"warn\" or \"deny\", got {other:?}"))),
         }
     }
 }

@@ -4,7 +4,10 @@
 //! finding, exit 1 means at least one, and exit 2 is reserved for
 //! usage errors (which emit no report).
 
-use std::process::{Command, Output};
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
+
+use hetero_fleet::{FleetConfig, FleetSim};
 
 fn analyze(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_analyze"))
@@ -62,6 +65,55 @@ fn unparseable_input_exits_two_for_timeline_and_monitor() {
         assert_eq!(out.status.code(), Some(2), "{sub}: {out:?}");
         assert!(out.stdout.is_empty(), "{sub}: parse errors emit no report");
     }
+}
+
+/// Run `analyze monitor - --json` on `input` fed through stdin.
+fn monitor_stdin(input: &str) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_analyze"))
+        .args(["monitor", "-", "--json"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run analyze binary");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(input.as_bytes())
+        .expect("write stdin");
+    child.wait_with_output().expect("analyze exits")
+}
+
+#[test]
+fn monitor_reads_a_v1_log_pair_without_rollout_window() {
+    let (_, mut pair) = FleetSim::new(FleetConfig::standard(42, 8, 40)).compare_events();
+    pair.robust.version = 1;
+    pair.naive.version = 1;
+    let json = serde_json::to_string(&pair).expect("serialize pair");
+    let v1 = json.replace(r#""rollout_window_ns":0,"#, "");
+    assert_eq!(json.len() - v1.len(), 2 * r#""rollout_window_ns":0,"#.len());
+    let out = monitor_stdin(&v1);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(report_json(&out)["summary"]["deny"], 0);
+}
+
+#[test]
+fn monitor_parse_error_names_both_log_shapes() {
+    let (_, pair) = FleetSim::new(FleetConfig::standard(42, 8, 40)).compare_events();
+    let json = serde_json::to_string(&pair).expect("serialize pair");
+    let bad = json.replacen(r#""seed":42"#, r#""seed":"42""#, 1);
+    let out = monitor_stdin(&bad);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("expected unsigned integer, got string"),
+        "the pair's own error: {stderr}"
+    );
+    assert!(
+        stderr.contains("missing field `runs`"),
+        "the rollout set's error: {stderr}"
+    );
 }
 
 #[test]

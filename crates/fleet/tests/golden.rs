@@ -147,6 +147,20 @@ fn event_log_json_roundtrips() {
 }
 
 #[test]
+fn v1_log_without_rollout_window_reads_as_no_rollout() {
+    let log = FleetEventLog {
+        version: 1,
+        rollout_window_ns: 0,
+        ..one_of_each_log()
+    };
+    let json = serde_json::to_string(&log).expect("serialize");
+    let v1 = json.replace(r#""rollout_window_ns":0,"#, "");
+    assert_ne!(v1, json, "the key is dropped");
+    let back: FleetEventLog = serde_json::from_str(&v1).expect("a v1 log parses");
+    assert_eq!(back, log);
+}
+
+#[test]
 fn recording_is_observational_reports_stay_byte_identical() {
     // The recorded replay must produce the same ArmReport bytes as
     // the unrecorded one — event logging may not perturb routing,

@@ -211,6 +211,20 @@ mod tests {
     }
 
     #[test]
+    fn cache_without_fingerprints_key_reads_as_unfingerprinted() {
+        let mut c = cache();
+        c.ensure(256);
+        let json = serde_json::to_string(&c).unwrap();
+        let cut = json.find(r#","fingerprints":"#).expect("fingerprints key");
+        let older = format!("{}}}", &json[..cut]);
+        let back: GraphCache = serde_json::from_str(&older).unwrap();
+        assert!(back.fingerprints.is_empty());
+        assert_eq!(back.compiled_sizes(), vec![256]);
+        // Absent fingerprints verify vacuously.
+        assert!(back.poisoned_sizes().is_empty());
+    }
+
+    #[test]
     fn fingerprints_depend_on_length_and_set() {
         let c = cache();
         assert_ne!(c.expected_fingerprint(64), c.expected_fingerprint(128));

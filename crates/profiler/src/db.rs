@@ -70,30 +70,9 @@ impl ProfileKey {
 /// Measured kernel timings (microseconds, stored exactly as nanos).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ProfileDb {
-    // Serialized as a pair list: struct keys are not valid JSON map keys.
-    #[serde(with = "entries_serde")]
+    // Serialized as a list of `[key, value]` pairs, like every map:
+    // struct keys are not valid JSON object keys.
     entries: BTreeMap<ProfileKey, u64>,
-}
-
-mod entries_serde {
-    use super::ProfileKey;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::BTreeMap;
-
-    pub fn serialize<S: Serializer>(
-        map: &BTreeMap<ProfileKey, u64>,
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        map.iter().collect::<Vec<_>>().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<BTreeMap<ProfileKey, u64>, D::Error> {
-        Ok(Vec::<(ProfileKey, u64)>::deserialize(d)?
-            .into_iter()
-            .collect())
-    }
 }
 
 impl ProfileDb {

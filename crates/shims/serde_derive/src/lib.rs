@@ -1,21 +1,28 @@
 //! Offline shim for `serde_derive`.
 //!
 //! Generates `Serialize`/`Deserialize` impls against the shim serde's
-//! [`Content`] data model. The registry is unreachable in this build
-//! environment, so `syn`/`quote` are unavailable; the derive input is
-//! parsed directly from the token stream. Supported shapes cover what
+//! streaming JSON `Writer` and `Reader`: one `write_json` and one
+//! `read_json` method per type. The registry is unreachable in this
+//! build environment, so `syn`/`quote` are unavailable; the derive input
+//! is parsed directly from the token stream. Supported shapes cover what
 //! this workspace derives: structs with named fields, tuple/newtype
 //! structs, unit structs, and enums with unit/tuple/struct variants,
-//! plus the `#[serde(with = "module")]`,
-//! `#[serde(skip_serializing_if = "path")]`, and `#[serde(default)]`
-//! field attributes.
+//! plus the `#[serde(skip_serializing_if = "path")]` and
+//! `#[serde(default)]` field attributes.
+//!
+//! The JSON shapes are serde's defaults: a struct is an object, a
+//! newtype is its field, a tuple struct is an array, a unit struct is
+//! `null`; a unit variant is `"Variant"`, other variants are
+//! `{"Variant": …}`. The reader takes an object's fields in any order,
+//! keeps the first of duplicate keys and skips unknown keys. Tuple
+//! structs and variants with several fields go through serde's tuple
+//! impls, which cover up to three fields.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Clone, Default)]
 struct Field {
     name: String,
-    with: Option<String>,
     /// `skip_serializing_if = "path"`: omit the field from the map
     /// when `path(&value)` is true.
     skip_if: Option<String>,
@@ -42,13 +49,13 @@ enum Item {
     Enum(Vec<Variant>),
 }
 
-/// Derive `serde::Serialize` (Content-tree shim).
+/// Derive `serde::Serialize` (streaming JSON shim).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, true)
 }
 
-/// Derive `serde::Deserialize` (Content-tree shim).
+/// Derive `serde::Deserialize` (streaming JSON shim).
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, false)
@@ -146,8 +153,8 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], i: &mut usize) {
 
 /// Apply the arguments of a `#[serde(...)]` attribute group to `field`,
 /// if the attribute at `tokens[i]` (pointing at `#`) is one. Recognizes
-/// `with = "module"`, `skip_serializing_if = "path"`, and `default`;
-/// unknown arguments are ignored.
+/// `skip_serializing_if = "path"` and `default`; unknown arguments are
+/// ignored.
 fn apply_serde_attr(tokens: &[TokenTree], i: usize, field: &mut Field) {
     let Some(TokenTree::Group(g)) = tokens.get(i + 1) else {
         return;
@@ -179,7 +186,6 @@ fn apply_serde_attr(tokens: &[TokenTree], i: usize, field: &mut Field) {
             }
         };
         match (kw.as_str(), value) {
-            ("with", Some(v)) => field.with = Some(v),
             ("skip_serializing_if", Some(v)) => field.skip_if = Some(v),
             ("default", None) => field.default = true,
             _ => {}
@@ -311,213 +317,176 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 // Code generation
 // -------------------------------------------------------------------
 
-const CONTENT: &str = "::serde::__private::Content";
-const ERR: &str = "::serde::__private::ContentError";
+const OK: &str = "::std::result::Result::Ok";
+const ERR: &str = "::std::result::Result::Err";
+const SOME: &str = "::std::option::Option::Some";
+const NONE: &str = "::std::option::Option::None";
+const WRITE: &str = "::serde::Serialize::write_json";
+const READ: &str = "::serde::Deserialize::read_json";
 
-fn named_fields_to_content(fields: &[Field], accessor: impl Fn(&str) -> String) -> String {
-    let mut code = String::from(
-        "let mut __fields: ::std::vec::Vec<(::std::string::String, \
-         ::serde::__private::Content)> = ::std::vec::Vec::new();\n",
-    );
+/// `__x0, __x1, …`: binders for `n` positional fields.
+fn binders(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("__x{i}")).collect()
+}
+
+/// Statements writing `fields` as an object; `access(name)` is the
+/// expression for a field's value.
+fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut code = String::from("__w.begin_map();\n");
     for f in fields {
-        let access = accessor(&f.name);
-        let value = match &f.with {
-            Some(module) => format!(
-                "match {module}::serialize(&{access}, ::serde::__private::ContentSink) {{ \
-                 ::std::result::Result::Ok(__c) => __c, \
-                 ::std::result::Result::Err(__e) => \
-                 {CONTENT}::Str(::std::format!(\"<serialize error: {{}}>\", __e)) }}"
-            ),
-            None => format!("::serde::Serialize::to_content(&{access})"),
-        };
-        let push = format!("__fields.push(({:?}.to_string(), {value}));", f.name);
+        let value = access(&f.name);
+        let entry = format!("__w.key({:?}); {WRITE}(&{value}, __w);", f.name);
         match &f.skip_if {
-            Some(pred) => {
-                code.push_str(&format!("if !{pred}(&{access}) {{ {push} }}\n"));
-            }
+            Some(pred) => code.push_str(&format!("if !{pred}(&{value}) {{ {entry} }}\n")),
             None => {
-                code.push_str(&push);
+                code.push_str(&entry);
                 code.push('\n');
             }
         }
     }
-    code.push_str(&format!("{CONTENT}::Map(__fields)"));
+    code.push_str("__w.end_map();");
     code
 }
 
-fn named_fields_from_content(fields: &[Field], map_expr: &str) -> String {
+/// A block reading an object into `ctor { fields }`: fields in any
+/// order, the first of duplicate keys kept, unknown keys skipped, a
+/// missing `default` field `Default::default()`.
+fn read_fields(ctor: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
     let mut inits = String::new();
-    for f in fields {
-        // `default` fields tolerate a missing key (they may have been
-        // skipped at serialization time by `skip_serializing_if`).
-        let field_content = if f.default {
-            format!(
-                "match ::serde::__private::get_field({map_expr}, {:?}) {{ \
-                 ::std::result::Result::Ok(__c) => __c, \
-                 ::std::result::Result::Err(_) => &::serde::__private::Content::Null }}",
-                f.name
-            )
+    for (i, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        slots.push_str(&format!("let mut __f{i} = {NONE};\n"));
+        arms.push_str(&format!(
+            "{name:?} if __f{i}.is_none() => __f{i} = {SOME}({READ}(__r)?),\n"
+        ));
+        let value = if f.default {
+            format!("__f{i}.unwrap_or_default()")
         } else {
-            format!("::serde::__private::get_field({map_expr}, {:?})?", f.name)
+            format!(
+                "match __f{i} {{ {SOME}(__v) => __v, \
+                 {NONE} => return {ERR}(__r.error(\"missing field `{name}`\")) }}"
+            )
         };
-        let value = match &f.with {
-            Some(module) => format!(
-                "{module}::deserialize(::serde::__private::ContentSource(({field_content}).clone()))?"
-            ),
-            None => format!("::serde::Deserialize::from_content({field_content})?"),
-        };
-        inits.push_str(&format!("{}: {value},\n", f.name));
+        inits.push_str(&format!("{name}: {value},\n"));
     }
-    inits
+    format!(
+        "{{\n{slots}\
+         let mut __key = __r.begin_map()?;\n\
+         while let {SOME}(__k) = __key {{\n\
+             match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+             __key = __r.next_key()?;\n\
+         }}\n\
+         {ctor} {{\n{inits}}}\n\
+         }}"
+    )
+}
+
+/// A block reading an `n`-element array (2 ≤ `n` ≤ 3) into `ctor(…)`
+/// through serde's tuple impl.
+fn read_tuple(ctor: &str, n: usize) -> String {
+    let b = binders(n).join(", ");
+    let holes = vec!["_"; n].join(", ");
+    format!("{{ let ({b}) = <({holes}) as ::serde::Deserialize>::read_json(__r)?; {ctor}({b}) }}")
 }
 
 fn gen_serialize(name: &str, item: &Item) -> String {
     let body = match item {
-        Item::NamedStruct(fields) => named_fields_to_content(fields, |f| format!("self.{f}")),
-        Item::TupleStruct(1) => "::serde::Serialize::to_content(&self.0)".to_string(),
+        Item::NamedStruct(fields) => write_fields(fields, |f| format!("self.{f}")),
+        Item::TupleStruct(1) => format!("{WRITE}(&self.0, __w);"),
         Item::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_content(&self.{i})"))
-                .collect();
-            format!("{CONTENT}::Seq(::std::vec![{}])", items.join(", "))
+            let refs: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            format!("{WRITE}(&({}), __w);", refs.join(", "))
         }
-        Item::UnitStruct => format!("{CONTENT}::Null"),
+        Item::UnitStruct => "__w.null();".to_string(),
         Item::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.kind {
+                let (pattern, value) = match &v.kind {
                     VariantKind::Unit => {
-                        arms.push_str(&format!(
-                            "{name}::{vn} => {CONTENT}::Str({vn:?}.to_string()),\n"
-                        ));
+                        arms.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
+                        continue;
                     }
-                    VariantKind::Tuple(1) => {
-                        arms.push_str(&format!(
-                            "{name}::{vn}(__x0) => {CONTENT}::Map(::std::vec![({vn:?}.to_string(), \
-                             ::serde::Serialize::to_content(__x0))]),\n"
-                        ));
-                    }
+                    VariantKind::Tuple(1) => ("(__x0)".to_string(), format!("{WRITE}(__x0, __w);")),
                     VariantKind::Tuple(n) => {
-                        let binders: Vec<String> = (0..*n).map(|i| format!("__x{i}")).collect();
-                        let items: Vec<String> = binders
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_content({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => {CONTENT}::Map(::std::vec![({vn:?}.to_string(), \
-                             {CONTENT}::Seq(::std::vec![{}]))]),\n",
-                            binders.join(", "),
-                            items.join(", ")
-                        ));
+                        let b = binders(*n).join(", ");
+                        (format!("({b})"), format!("{WRITE}(&({b}), __w);"))
                     }
                     VariantKind::Struct(fields) => {
-                        let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let inner = named_fields_to_content(fields, |f| f.to_string());
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => {{ let __inner = {{ {inner} }}; \
-                             {CONTENT}::Map(::std::vec![({vn:?}.to_string(), __inner)]) }},\n",
-                            binders.join(", ")
-                        ));
+                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        (
+                            format!(" {{ {} }}", names.join(", ")),
+                            write_fields(fields, str::to_string),
+                        )
                     }
-                }
+                };
+                arms.push_str(&format!(
+                    "{name}::{vn}{pattern} => {{ __w.begin_map(); __w.key({vn:?}); \
+                     {value} __w.end_map(); }}\n"
+                ));
             }
-            format!("match self {{\n{arms}\n}}")
+            format!("match self {{\n{arms}}}")
         }
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_content(&self) -> {CONTENT} {{\n{body}\n}}\n\
+             fn write_json(&self, __w: &mut ::serde::Writer) {{\n{body}\n}}\n\
          }}"
     )
 }
 
 fn gen_deserialize(name: &str, item: &Item) -> String {
     let body = match item {
-        Item::NamedStruct(fields) => {
-            let inits = named_fields_from_content(fields, "__map");
-            format!(
-                "let __map = __content.as_object().ok_or_else(|| \
-                 {ERR}::custom(::std::format!(\"expected map for struct {name}, got {{}}\", \
-                 __content)))?;\n\
-                 ::std::result::Result::Ok({name} {{\n{inits}\n}})"
-            )
-        }
-        Item::TupleStruct(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_content(__content)?))"
-        ),
-        Item::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_content(&__seq[{i}])?"))
-                .collect();
-            format!(
-                "let __seq = __content.as_array().ok_or_else(|| \
-                 {ERR}::custom(\"expected array for tuple struct {name}\"))?;\n\
-                 if __seq.len() != {n} {{ return ::std::result::Result::Err({ERR}::custom(\
-                 ::std::format!(\"expected {n} elements for {name}, got {{}}\", __seq.len()))); }}\n\
-                 ::std::result::Result::Ok({name}({}))",
-                items.join(", ")
-            )
-        }
-        Item::UnitStruct => format!("::std::result::Result::Ok({name})"),
+        Item::NamedStruct(fields) => format!("{OK}({})", read_fields(name, fields)),
+        Item::TupleStruct(1) => format!("{OK}({name}({READ}(__r)?))"),
+        Item::TupleStruct(n) => format!("{OK}({})", read_tuple(name, *n)),
+        Item::UnitStruct => format!("__r.skip_value()?;\n{OK}({name})"),
         Item::Enum(variants) => {
+            let unknown = format!(
+                "__other => {ERR}(__r.error(::std::format_args!(\
+                 \"unknown variant `{{}}` of {name}\", __other))),\n"
+            );
             let mut unit_arms = String::new();
             let mut data_arms = String::new();
             for v in variants {
                 let vn = &v.name;
+                let ctor = format!("{name}::{vn}");
                 match &v.kind {
                     VariantKind::Unit => {
-                        unit_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}),\n"
-                        ));
+                        unit_arms.push_str(&format!("{vn:?} => {OK}({ctor}),\n"));
                     }
                     VariantKind::Tuple(1) => {
-                        data_arms.push_str(&format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}(\
-                             ::serde::Deserialize::from_content(__inner)?)),\n"
-                        ));
+                        data_arms.push_str(&format!("{vn:?} => {OK}({ctor}({READ}(__r)?)),\n"));
                     }
                     VariantKind::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_content(&__seq[{i}])?"))
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "{vn:?} => {{ let __seq = __inner.as_array().ok_or_else(|| \
-                             {ERR}::custom(\"expected array for variant {name}::{vn}\"))?;\n\
-                             if __seq.len() != {n} {{ return ::std::result::Result::Err(\
-                             {ERR}::custom(\"wrong arity for variant {name}::{vn}\")); }}\n\
-                             ::std::result::Result::Ok({name}::{vn}({})) }},\n",
-                            items.join(", ")
-                        ));
+                        data_arms
+                            .push_str(&format!("{vn:?} => {OK}({}),\n", read_tuple(&ctor, *n)));
                     }
                     VariantKind::Struct(fields) => {
-                        let inits = named_fields_from_content(fields, "__map");
                         data_arms.push_str(&format!(
-                            "{vn:?} => {{ let __map = __inner.as_object().ok_or_else(|| \
-                             {ERR}::custom(\"expected map for variant {name}::{vn}\"))?;\n\
-                             ::std::result::Result::Ok({name}::{vn} {{\n{inits}\n}}) }},\n"
+                            "{vn:?} => {OK}({}),\n",
+                            read_fields(&ctor, fields)
                         ));
                     }
                 }
             }
             format!(
-                "match __content {{\n\
-                     {CONTENT}::Str(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\
-                         __other => ::std::result::Result::Err({ERR}::custom(\
-                             ::std::format!(\"unknown variant `{{}}` of {name}\", __other))),\n\
-                     }},\n\
-                     {CONTENT}::Map(__entries) if __entries.len() == 1 => {{\n\
-                         let (__tag, __inner) = &__entries[0];\n\
-                         match __tag.as_str() {{\n\
-                             {data_arms}\
-                             __other => ::std::result::Result::Err({ERR}::custom(\
-                                 ::std::format!(\"unknown variant `{{}}` of {name}\", __other))),\n\
-                         }}\n\
-                     }},\n\
-                     __other => ::std::result::Result::Err({ERR}::custom(\
-                         ::std::format!(\"unexpected content for enum {name}: {{}}\", __other))),\n\
+                "if __r.peek_str() {{\n\
+                     let __tag = __r.read_str()?;\n\
+                     match &*__tag {{\n{unit_arms}{unknown}}}\n\
+                 }} else {{\n\
+                     let __tag = match __r.begin_map()? {{\n\
+                         {SOME}(__tag) => __tag,\n\
+                         {NONE} => return {ERR}(__r.error(\"expected a variant of {name}\")),\n\
+                     }};\n\
+                     let __value = match &*__tag {{\n{data_arms}{unknown}}}?;\n\
+                     if __r.next_key()?.is_some() {{\n\
+                         return {ERR}(__r.error(\"expected one variant of {name}\"));\n\
+                     }}\n\
+                     {OK}(__value)\n\
                  }}"
             )
         }
@@ -525,8 +494,8 @@ fn gen_deserialize(name: &str, item: &Item) -> String {
     format!(
         "#[automatically_derived]\n\
          impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-             fn from_content(__content: &{CONTENT}) -> \
-                 ::std::result::Result<Self, {ERR}> {{\n{body}\n}}\n\
+             fn read_json(__r: &mut ::serde::Reader<'de>) \
+                 -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
          }}"
     )
 }

@@ -1,334 +1,50 @@
 //! Offline shim for `serde_json`.
 //!
-//! Pairs with the shim `serde` crate: values serialize into the shared
-//! [`Content`](serde::Content) tree (re-exported here as [`Value`]) and
-//! render to/parse from real JSON text. Covers the API surface this
-//! workspace uses: `to_string`, `to_string_pretty`, `from_str`,
-//! [`Value`] with `as_*` accessors and indexing, and [`Result`].
+//! Drives the shim `serde` crate's streaming [`Writer`] and [`Reader`]:
+//! `to_string`/`to_string_pretty` write a value's JSON directly and
+//! `from_str` reads it directly, with no intermediate tree. [`Value`] is
+//! a parsed document for callers that want one, with `as_*` accessors
+//! and indexing; [`Error`] and [`Result`] complete the API surface this
+//! workspace uses.
 
-use std::fmt;
+use serde::{Deserialize, Reader, Serialize, Writer};
 
-use serde::{Content, Deserialize, Serialize};
+pub use serde::Error;
 
-/// A parsed JSON document (alias of the serde shim's data-model tree).
-pub type Value = Content;
-
-/// Error raised by JSON (de)serialization.
-#[derive(Debug, Clone)]
-pub struct Error(String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl serde::ser::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-
-impl serde::de::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
+/// A parsed JSON document (the serde shim's [`serde::Content`]).
+pub type Value = serde::Content;
 
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(value.to_content().render_compact())
+    let mut w = Writer::compact();
+    value.write_json(&mut w);
+    Ok(w.into_string())
 }
 
-/// Serialize a value to pretty-printed JSON.
+/// Serialize a value to pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(value.to_content().render_pretty())
+    let mut w = Writer::pretty();
+    value.write_json(&mut w);
+    Ok(w.into_string())
 }
 
-/// Serialize a value to a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.to_content())
-}
-
-/// Deserialize a value from JSON text.
+/// Deserialize a value from JSON text. Errors end in `at byte N`.
 pub fn from_str<'a, T: Deserialize<'a>>(s: &'a str) -> Result<T> {
-    let value = Parser::new(s).parse_document()?;
-    T::from_content(&value).map_err(|e| Error(e.to_string()))
-}
-
-/// Deserialize a value from a [`Value`] tree.
-#[allow(clippy::needless_pass_by_value)] // by-value to match the real serde_json API
-pub fn from_value<T: for<'de> Deserialize<'de>>(value: Value) -> Result<T> {
-    T::from_content(&value).map_err(|e| Error(e.to_string()))
-}
-
-// -------------------------------------------------------------------
-// JSON parser (recursive descent)
-// -------------------------------------------------------------------
-
-/// Deepest array/object nesting the parser accepts (upstream
-/// serde_json's default recursion limit). Deeper input is an error, not
-/// a stack overflow.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays/objects currently open.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<Value> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters"));
-        }
-        Ok(v)
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'"') => Ok(Content::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Content::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Content::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Content::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("unexpected character")),
-        }
-    }
-
-    /// Parse one array or object, one level deeper.
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err("recursion limit exceeded"));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{kw}`")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Content::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Content::Map(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Content::Seq(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Content::Seq(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.parse_hex4()?;
-                            // Surrogate pairs.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid unicode escape"))?);
-                            continue; // parse_hex4 already advanced
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one multi-byte UTF-8 character. Validate at
-                    // most 4 bytes — validating the whole remaining input
-                    // here would make parsing quadratic in document size.
-                    let end = (self.pos + 4).min(self.bytes.len());
-                    let rest = &self.bytes[self.pos..end];
-                    let s = match std::str::from_utf8(rest) {
-                        Ok(s) => s,
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&rest[..e.valid_up_to()]).expect("validated prefix")
-                        }
-                        Err(_) => return Err(self.err("invalid utf-8")),
-                    };
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated unicode escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Content::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Content::I64(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Content::F64)
-            .map_err(|_| self.err("invalid number"))
-    }
+    let mut r = Reader::new(s);
+    let value = T::read_json(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reader's nesting limit (upstream serde_json's default).
+    const MAX_DEPTH: usize = 128;
 
     #[test]
     fn nesting_is_limited_to_128_levels() {

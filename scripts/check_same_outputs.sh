@@ -11,9 +11,12 @@
 # 1000 --seed 42 --json`; `rollout_sweep --seed 42 --json`; `fault_sweep
 # --seed 42 --json`; `fault_sweep --integrity --seed 42 --requests 12
 # --json` (the CI SDC gate, which runs the functional engine's timing
-# path). Stdout, stderr and the exit code of each are compared, as are
-# the experiment JSON files the binaries write under target/experiments/
-# and the EXPERIMENTS.md that `report` regenerates.
+# path); the serialized event logs, `fleet_sweep --seed 42 --events-out
+# F` and `rollout_sweep --seed 42 --events-out F`, each read back by
+# `analyze monitor F --json`. Stdout, stderr and the exit code of each
+# are compared, as are the experiment JSON files the binaries write
+# under target/experiments/, the two event-log files and the
+# EXPERIMENTS.md that `report` regenerates.
 # Masked before comparing: each tree's own path, and the wall-clock rates
 # of bench_sim (its table rows, padding included, and bench_sim.json).
 #
@@ -64,6 +67,10 @@ fleet_sweep --devices 1000 --seed 42 --json
 rollout_sweep --seed 42 --json
 fault_sweep --seed 42 --json
 fault_sweep --integrity --seed 42 --requests 12 --json
+fleet_sweep --seed 42 --events-out target/same_outputs/fleet_events.json
+rollout_sweep --seed 42 --events-out target/same_outputs/rollout_events.json
+analyze monitor target/same_outputs/fleet_events.json --json
+analyze monitor target/same_outputs/rollout_events.json --json
 EOF
 }
 
@@ -73,7 +80,8 @@ run() {
     local tree=$1 out=$2
     echo "check-same-outputs: building $tree" >&2
     (cd "$tree" && cargo build --release --offline --quiet --workspace) || exit 2
-    mkdir -p "$out/experiments"
+    mkdir -p "$out/experiments" "$tree/target/same_outputs"
+    rm -f "$tree"/target/same_outputs/*.json
     commands | while read -r bin args; do
         local name
         name=$(printf '%s' "$bin${args:+ $args}" | tr -c 'A-Za-z0-9_-' '_')
@@ -87,6 +95,7 @@ run() {
         grep -v '/bench_sim\.json$' | while read -r file; do
         cp "$file" "$out/experiments/"
     done
+    cp "$tree"/target/same_outputs/*.json "$out/experiments/"
     cp "$tree/EXPERIMENTS.md" "$out/EXPERIMENTS.md"
     sed -i "s|$tree|<tree>|g" "$out"/*.out "$out"/*.err "$out/EXPERIMENTS.md"
     sed -i -E '/ (sessions|events|MFLOP)\/s /s/ +[0-9]+$/ <rate>/' "$out/bench_sim.out"
