@@ -56,11 +56,6 @@ const BINS: &[(&str, &str, &[&str])] = &[
     ),
     ("ablate_thermal", env!("CARGO_BIN_EXE_ablate_thermal"), &[]),
     (
-        "bench_sim",
-        env!("CARGO_BIN_EXE_bench_sim"),
-        &["--devices", "--jobs", "--json"],
-    ),
-    (
         "compare_socs",
         env!("CARGO_BIN_EXE_compare_socs"),
         &["--jobs"],

@@ -17,13 +17,11 @@
 //!   performance is more stable and less dependent on tensor shapes".
 
 pub mod db;
-pub mod forest;
 pub mod measure;
 pub mod predict;
 pub mod tree;
 
 pub use db::{ProfileDb, ProfileKey};
-pub use forest::RandomForest;
 pub use predict::{
     AnalyticGpuPredictor, CostInterval, CostProvider, PredictedProvider, RealExecProvider,
 };

@@ -88,23 +88,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// Matrix-vector product `a [m,k] x v [k]`, the decode-phase workhorse.
-pub fn gemv(a: &Tensor, v: &[f32]) -> Result<Vec<f32>> {
-    let (m, k) = a.matrix_dims()?;
-    if v.len() != k {
-        return Err(TensorError::ShapeMismatch {
-            context: format!("gemv [{m},{k}] x [{}]", v.len()),
-        });
-    }
-    let ad = a.data();
-    let mut out = vec![0.0f32; m];
-    for i in 0..m {
-        let row = &ad[i * k..(i + 1) * k];
-        out[i] = row.iter().zip(v).map(|(a, b)| a * b).sum();
-    }
-    Ok(out)
-}
-
 /// W4A16 GEMM: `a [m,k] x w [k,n]` where the weight is stored INT4 and
 /// dequantized group-by-group into floating point before multiplying.
 ///
@@ -215,20 +198,6 @@ mod tests {
         let b = Tensor::zeros(&[4, 2]);
         assert!(matmul(&a, &b).is_err());
         assert!(matmul_ref(&a, &b).is_err());
-    }
-
-    #[test]
-    fn gemv_matches_matmul() {
-        let rng = WeightRng::new(12);
-        let a = rng.uniform("a", &[6, 9], 1.0).unwrap();
-        let v: Vec<f32> = (0..9).map(|i| i as f32 * 0.1).collect();
-        let out = gemv(&a, &v).unwrap();
-        let vm = Tensor::from_vec(v.clone(), &[9, 1]).unwrap();
-        let mm = matmul(&a, &vm).unwrap();
-        for (x, y) in out.iter().zip(mm.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
-        assert!(gemv(&a, &v[..5]).is_err());
     }
 
     #[test]

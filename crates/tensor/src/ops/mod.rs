@@ -19,7 +19,7 @@ pub use activation::{gelu, silu, softmax_rows, swiglu};
 pub use attention::{causal_attention, AttentionConfig};
 pub use elementwise::{add, mul, scale};
 pub use embedding::embed;
-pub use gemm::{gemv, matmul, matmul_ref, matmul_w4};
+pub use gemm::{matmul, matmul_ref, matmul_w4};
 pub use norm::rmsnorm;
 pub use rope::apply_rope;
 pub use sampling::{argmax, sample_top_k};

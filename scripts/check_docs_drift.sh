@@ -59,7 +59,7 @@ for bin in $bins; do
 done
 
 # Every scripts/*.sh the docs advertise must exist and be executable
-# (catches renamed harness scripts like bench_sim.sh / bench_fleet.sh).
+# (catches a renamed or deleted harness script).
 scripts=$(grep -ho -- 'scripts/[a-z0-9_]*\.sh' $DOCS | sort -u)
 for script in $scripts; do
     if [ ! -x "$script" ]; then

@@ -17,8 +17,7 @@
 # are compared, as are the experiment JSON files the binaries write
 # under target/experiments/, the two event-log files and the
 # EXPERIMENTS.md that `report` regenerates.
-# Masked before comparing: each tree's own path, and the wall-clock rates
-# of bench_sim (its table rows, padding included, and bench_sim.json).
+# Masked before comparing: each tree's own path.
 #
 # Both trees build offline in release mode, each into its own target/.
 # `report` rewrites this checkout's EXPERIMENTS.md; the file is restored
@@ -92,13 +91,12 @@ run() {
     done
     # Only the files this run wrote: target/ may hold older ones.
     grep -ho '^\[saved [^]]*\]' "$out"/*.out | sed 's/^\[saved //; s/\]$//' | sort -u |
-        grep -v '/bench_sim\.json$' | while read -r file; do
+        while read -r file; do
         cp "$file" "$out/experiments/"
     done
     cp "$tree"/target/same_outputs/*.json "$out/experiments/"
     cp "$tree/EXPERIMENTS.md" "$out/EXPERIMENTS.md"
     sed -i "s|$tree|<tree>|g" "$out"/*.out "$out"/*.err "$out/EXPERIMENTS.md"
-    sed -i -E '/ (sessions|events|MFLOP)\/s /s/ +[0-9]+$/ <rate>/' "$out/bench_sim.out"
 }
 
 run "$base" "$tmp/out/rev"
