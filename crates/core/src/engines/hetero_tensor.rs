@@ -9,7 +9,7 @@ use hetero_profiler::measure::{partition_shape_grid, profile_matmuls};
 use hetero_profiler::{CostProvider, PredictedProvider, RealExecProvider};
 use hetero_soc::calib::STANDARD_GRAPH_SIZES;
 use hetero_soc::sync::{Dominance, SyncMechanism};
-use hetero_soc::{Backend, KernelDesc, Soc};
+use hetero_soc::{Backend, KernelDesc, Soc, SocCounters};
 use hetero_solver::PartitionPlan;
 use hetero_tensor::shape::MatmulShape;
 
@@ -17,7 +17,7 @@ use crate::engines::{hetero_soc_config, run_serial_step, Engine};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
 use crate::report::PhaseReport;
-use crate::schedule::{Planner, Sink};
+use crate::schedule::{Checkpoint, Planner, Sink};
 use crate::trace::{EngineEvent, KernelName};
 
 /// HeteroLLM with tensor-level heterogeneous execution.
@@ -74,6 +74,22 @@ impl Sink for Executor {
         }
         // Both backends just ran; the GPU ends the section primed.
         self.current = Some(Backend::Gpu);
+    }
+
+    /// No checkpoint while the event stream is armed or the SoC trace
+    /// records: both need every step.
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        if self.events.is_some() {
+            return None;
+        }
+        Some(Checkpoint {
+            current: self.current,
+            counters: self.soc.counters()?,
+        })
+    }
+
+    fn repeat(&mut self, delta: SocCounters, times: u64) -> bool {
+        self.soc.repeat(delta, times)
     }
 }
 

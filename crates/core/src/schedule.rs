@@ -13,14 +13,14 @@
 use hetero_graph::partition::{PlanJoin, PlanPart};
 use hetero_profiler::CostProvider;
 use hetero_soc::sync::{Dominance, SyncMechanism, SyncModel};
-use hetero_soc::{Backend, KernelDesc};
+use hetero_soc::{Backend, KernelDesc, SocCounters};
 use hetero_solver::{PartitionPlan, PlanTable, Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 
 use crate::engines::{gpu_kernel, npu_kernel};
 use crate::error::EngineError;
 use crate::model::ModelConfig;
-use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace};
+use crate::trace::{decode_trace, prefill_trace, OpRole, PhaseTrace, TraceOp};
 
 /// An interpreter of the schedule's steps.
 pub(crate) trait Sink {
@@ -29,6 +29,27 @@ pub(crate) trait Sink {
 
     /// Run the GPU and NPU kernel lists concurrently, then rendezvous.
     fn parallel(&mut self, gpu: &[KernelDesc], npu: &[KernelDesc], dominance: Dominance);
+
+    /// The sink's state at a layer boundary, when a run of identical
+    /// layers may be replayed from it instead of walked; `None` (the
+    /// default) keeps the full walk.
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        None
+    }
+
+    /// Replay `times` copies of a layer that advanced the counters by
+    /// `delta`. Returns `false`, changing nothing, if it cannot.
+    fn repeat(&mut self, _delta: SocCounters, _times: u64) -> bool {
+        false
+    }
+}
+
+/// A sink's state at a layer boundary: its backend-switch machine and
+/// its SoC counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Checkpoint {
+    pub(crate) current: Option<Backend>,
+    pub(crate) counters: SocCounters,
 }
 
 /// Record a kernel on `backend` in the shared backend-switch machine:
@@ -89,12 +110,43 @@ impl<P: CostProvider> Plans<P> {
 
     /// Walk one phase trace into `sink`: weight Matmuls run their
     /// solved plan, every other op runs serially on the GPU.
+    ///
+    /// Decoder layers repeat exactly: by the end of layer 1 every plan
+    /// is memoized, kernel costs depend only on the SoC configuration,
+    /// and the sink's state is integer counters plus its switch
+    /// machine. A layer's effect is therefore a function of the switch
+    /// state it starts in. Once a layer (layer 2 at the earliest) ends
+    /// in the switch state it started in, every later layer repeats it,
+    /// so the rest are replayed as copies of its counter delta. A sink
+    /// without a checkpoint, or a replay that would overflow, walks
+    /// every layer.
     pub(crate) fn walk(
         &mut self,
         trace: &PhaseTrace,
         sink: &mut impl Sink,
     ) -> Result<(), EngineError> {
-        for op in trace.iter_all() {
+        self.steps(&trace.prologue, sink)?;
+        let mut remaining = trace.layers;
+        let mut before: Option<Checkpoint> = None;
+        while remaining > 0 {
+            self.steps(&trace.layer, sink)?;
+            remaining -= 1;
+            let after = sink.checkpoint();
+            if let (Some(b), Some(a)) = (before, after) {
+                if remaining > 0
+                    && b.current == a.current
+                    && sink.repeat(a.counters.since(b.counters), remaining as u64)
+                {
+                    break;
+                }
+            }
+            before = after;
+        }
+        self.steps(&trace.epilogue, sink)
+    }
+
+    fn steps(&mut self, ops: &[TraceOp], sink: &mut impl Sink) -> Result<(), EngineError> {
+        for op in ops {
             if op.role == OpRole::WeightMatmul {
                 let shape = op.shape.ok_or(EngineError::MissingShape { op: op.op })?;
                 let plan = self.plan(op.op, shape);

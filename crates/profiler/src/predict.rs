@@ -74,6 +74,16 @@ impl std::ops::AddAssign for CostInterval {
 }
 
 /// A source of matmul kernel costs per backend and bandwidth condition.
+///
+/// # Contract
+///
+/// The GPU cost must be nondecreasing in `n` at fixed `m`, `k`, dtypes
+/// and condition: more output columns never make a GPU matmul cheaper.
+/// The solver's row-cut scan stops early on it
+/// (`hetero_solver::Solver::solve`). Every provider here holds it: the
+/// real and the analytic GPU costs are the `GpuModel` roofline, whose
+/// FLOPs and bytes grow with `n`, and the wrappers pass the GPU cost
+/// through unchanged. The NPU cost carries no such contract (NPU-③).
 pub trait CostProvider {
     /// Cost of `[m,k] x [k,n]` on `backend` where the streamed `[m,k]`
     /// operand is stored as `act_dtype` and the stationary `[k,n]`
@@ -175,11 +185,7 @@ impl AnalyticGpuPredictor {
             BwCondition::Contended => self
                 .cfg
                 .mem
-                .concurrent_bw(&[Backend::Gpu, Backend::Npu])
-                .into_iter()
-                .find(|(b, _)| *b == Backend::Gpu)
-                .map(|(_, bw)| bw)
-                .unwrap_or(0.0),
+                .concurrent_bw(Backend::Gpu, &[Backend::Gpu, Backend::Npu]),
         };
         self.cfg.gpu.kernel_time(&kernel, bw)
     }

@@ -53,32 +53,25 @@ impl MemorySystem {
         }
     }
 
-    /// Effective per-backend bandwidth when `active` backends stream
-    /// concurrently. Each backend is limited by its own cap, and the
-    /// total is limited by `multi_efficiency × soc_peak` (for more than
-    /// one initiator) with proportional scaling.
-    pub fn concurrent_bw(&self, active: &[Backend]) -> Vec<(Backend, f64)> {
-        if active.is_empty() {
-            return Vec::new();
+    /// Effective bandwidth of `backend` when the `active` backends
+    /// stream concurrently. Each backend is limited by its own cap, and
+    /// the total is limited by `multi_efficiency × soc_peak` (for more
+    /// than one initiator) with proportional scaling. A backend outside
+    /// `active` streams alone.
+    pub fn concurrent_bw(&self, backend: Backend, active: &[Backend]) -> f64 {
+        if active.len() < 2 || !active.contains(&backend) {
+            return self.solo_bw(backend);
         }
-        if active.len() == 1 {
-            return vec![(active[0], self.solo_bw(active[0]))];
-        }
-        let caps: Vec<f64> = active.iter().map(|b| self.cap(*b)).collect();
-        let total: f64 = caps.iter().sum();
+        let total: f64 = active.iter().map(|b| self.cap(*b)).sum();
         let budget = self.soc_peak_gbps * self.multi_efficiency;
         let scale = if total > budget { budget / total } else { 1.0 };
-        active
-            .iter()
-            .zip(caps)
-            .map(|(b, c)| (*b, c * scale))
-            .collect()
+        self.cap(backend) * scale
     }
 
     /// Total bandwidth observed when `active` backends stream together
     /// (the quantity Fig. 6 plots).
     pub fn total_bw(&self, active: &[Backend]) -> f64 {
-        self.concurrent_bw(active).iter().map(|(_, bw)| bw).sum()
+        active.iter().map(|b| self.concurrent_bw(*b, active)).sum()
     }
 }
 
@@ -108,7 +101,9 @@ mod tests {
     #[test]
     fn concurrent_allocation_respects_caps() {
         let mem = MemorySystem::default();
-        for (b, bw) in mem.concurrent_bw(&[Backend::Gpu, Backend::Npu]) {
+        let both = [Backend::Gpu, Backend::Npu];
+        for b in both {
+            let bw = mem.concurrent_bw(b, &both);
             assert!(bw <= mem.solo_bw(b) + 1e-9, "{b} got {bw}");
             assert!(bw > 0.0);
         }
@@ -125,7 +120,10 @@ mod tests {
     #[test]
     fn empty_active_set() {
         let mem = MemorySystem::default();
-        assert!(mem.concurrent_bw(&[]).is_empty());
+        assert_eq!(
+            mem.concurrent_bw(Backend::Gpu, &[]),
+            mem.solo_bw(Backend::Gpu)
+        );
         assert_eq!(mem.total_bw(&[]), 0.0);
     }
 }

@@ -73,6 +73,11 @@ impl EnergyMeter {
         SimTime::from_nanos(self.busy_ns[Self::idx(backend)])
     }
 
+    /// DRAM traffic recorded, bytes.
+    pub fn dram_bytes(&self) -> u64 {
+        self.dram_bytes
+    }
+
     fn idx(backend: Backend) -> usize {
         match backend {
             Backend::Cpu => 0,

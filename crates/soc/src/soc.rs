@@ -68,6 +68,42 @@ pub struct TraceEvent {
     pub duration: SimTime,
 }
 
+/// The SoC's run state as integers: the clock, the busy time of each
+/// backend and the DRAM traffic. Kernel costs depend only on the
+/// [`SocConfig`], so a repeated step sequence adds the same
+/// [`SocCounters::since`] delta each time it runs and can be replayed
+/// by [`Soc::repeat`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SocCounters {
+    clock_ns: u64,
+    busy_ns: [u64; 3],
+    dram_bytes: u64,
+}
+
+impl SocCounters {
+    /// What accumulated from `earlier`, a state this SoC's counters
+    /// passed through (they only grow), to `self`.
+    pub fn since(self, earlier: SocCounters) -> SocCounters {
+        SocCounters {
+            clock_ns: self.clock_ns - earlier.clock_ns,
+            busy_ns: [0, 1, 2].map(|i| self.busy_ns[i] - earlier.busy_ns[i]),
+            dram_bytes: self.dram_bytes - earlier.dram_bytes,
+        }
+    }
+
+    /// Whether `self + delta × times` fits every counter.
+    fn fits(self, delta: SocCounters, times: u64) -> bool {
+        let fits = |base: u64, step: u64| {
+            step.checked_mul(times)
+                .and_then(|add| base.checked_add(add))
+                .is_some()
+        };
+        fits(self.clock_ns, delta.clock_ns)
+            && fits(self.dram_bytes, delta.dram_bytes)
+            && (0..3).all(|i| fits(self.busy_ns[i], delta.busy_ns[i]))
+    }
+}
+
 /// A simulated SoC instance with a clock and an energy meter.
 ///
 /// # Examples
@@ -140,6 +176,37 @@ impl Soc {
         &self.meter
     }
 
+    /// The run state as integers, or `None` while the trace is
+    /// recording (a trace needs every interval, so nothing may be
+    /// replayed in bulk).
+    pub fn counters(&self) -> Option<SocCounters> {
+        if self.record_trace {
+            return None;
+        }
+        Some(SocCounters {
+            clock_ns: self.clock.as_nanos(),
+            busy_ns: Backend::ALL.map(|b| self.meter.busy(b).as_nanos()),
+            dram_bytes: self.meter.dram_bytes(),
+        })
+    }
+
+    /// Advance the run state by `times` copies of `delta`, as if the
+    /// steps that produced it ran `times` more times. Returns `false`,
+    /// changing nothing, while the trace is recording or if a counter
+    /// would overflow.
+    pub fn repeat(&mut self, delta: SocCounters, times: u64) -> bool {
+        if !self.counters().is_some_and(|now| now.fits(delta, times)) {
+            return false;
+        }
+        for (backend, busy) in Backend::ALL.into_iter().zip(delta.busy_ns) {
+            self.meter
+                .add_busy(backend, SimTime::from_nanos(busy * times));
+        }
+        self.meter.add_dram_bytes(delta.dram_bytes * times);
+        self.clock += SimTime::from_nanos(delta.clock_ns * times);
+        true
+    }
+
     /// Mark the CPU as a compute backend for power accounting.
     pub fn set_cpu_compute(&mut self) {
         self.meter.set_cpu_compute(true);
@@ -165,14 +232,7 @@ impl Soc {
         kernel: &KernelDesc,
         active: &[Backend],
     ) -> SimTime {
-        let bw = self
-            .cfg
-            .mem
-            .concurrent_bw(active)
-            .into_iter()
-            .find(|(b, _)| *b == backend)
-            .map(|(_, bw)| bw)
-            .unwrap_or_else(|| self.cfg.mem.solo_bw(backend));
+        let bw = self.cfg.mem.concurrent_bw(backend, active);
         self.kernel_time_at(backend, kernel, bw)
     }
 

@@ -117,10 +117,10 @@ proptest! {
         if use_cpu { active.push(Backend::Cpu); }
         if use_gpu { active.push(Backend::Gpu); }
         if use_npu { active.push(Backend::Npu); }
-        let grants = mem.concurrent_bw(&active);
-        let total: f64 = grants.iter().map(|(_, bw)| bw).sum();
+        let total: f64 = active.iter().map(|b| mem.concurrent_bw(*b, &active)).sum();
         prop_assert!(total <= mem.soc_peak_gbps + 1e-9);
-        for (b, bw) in grants {
+        for &b in &active {
+            let bw = mem.concurrent_bw(b, &active);
             prop_assert!(bw <= mem.solo_bw(b) + 1e-9);
             prop_assert!(bw > 0.0);
         }

@@ -144,19 +144,12 @@ impl<P: CostProvider> Solver<P> {
     /// `dominance` selects the rendezvous cost regime (prefill is
     /// NPU-dominant, decode GPU-dominant; Fig. 11).
     pub fn solve(&self, shape: MatmulShape, dominance: Dominance) -> PlanChoice {
-        let mut best_serial = PlanChoice {
-            plan: PartitionPlan::GpuOnly,
-            est_time: self.gpu_cost(shape, BwCondition::Solo),
-        };
-        let mut best_parallel: Option<PlanChoice> = None;
-        let mut consider = |plan: PartitionPlan, t: SimTime| {
-            if plan.is_parallel() {
-                if best_parallel.as_ref().is_none_or(|b| t < b.est_time) {
-                    best_parallel = Some(PlanChoice { plan, est_time: t });
-                }
-            } else if t < best_serial.est_time {
-                best_serial = PlanChoice { plan, est_time: t };
-            }
+        let mut best = Best {
+            serial: PlanChoice {
+                plan: PartitionPlan::GpuOnly,
+                est_time: self.gpu_cost(shape, BwCondition::Solo),
+            },
+            parallel: None,
         };
 
         let switch = self.cfg.sync.backend_switch();
@@ -171,7 +164,7 @@ impl<P: CostProvider> Solver<P> {
                 },
                 BwCondition::Solo,
             );
-            consider(PartitionPlan::NpuOnly { padded_m }, t + switch);
+            best.consider(PartitionPlan::NpuOnly { padded_m }, t + switch);
         } else {
             // m exceeds the largest graph: sequential pipe chunks.
             let pipe = pipe_plan(shape.m, &self.cfg.standards);
@@ -180,7 +173,7 @@ impl<P: CostProvider> Solver<P> {
                 .iter()
                 .map(|&c| self.npu_cost(MatmulShape { m: c, ..shape }, BwCondition::Solo))
                 .sum();
-            consider(
+            best.consider(
                 PartitionPlan::NpuPipe {
                     chunks: pipe.npu_chunks.clone(),
                     padded_rows: pipe.padded_rows,
@@ -196,12 +189,25 @@ impl<P: CostProvider> Solver<P> {
             next_standard(shape.m, &self.cfg.standards),
         ) {
             for c in self.row_cuts(shape.n) {
-                let npu = self.npu_cost(
-                    MatmulShape::new(padded_m, shape.k, shape.n - c),
-                    BwCondition::Contended,
-                );
                 let gpu = self.gpu_cost(
                     MatmulShape::new(shape.m, shape.k, c),
+                    BwCondition::Contended,
+                );
+                // A cut costs at least its GPU side plus the rendezvous,
+                // and the GPU side never shrinks as `c` grows (the
+                // `CostProvider` contract), so once that floor reaches
+                // the best parallel plan no later cut can beat it. The
+                // NPU side is not monotone (NPU-③), so the scan stays
+                // linear up to here.
+                if best
+                    .parallel
+                    .as_ref()
+                    .is_some_and(|b| gpu + rendezvous >= b.est_time)
+                {
+                    break;
+                }
+                let npu = self.npu_cost(
+                    MatmulShape::new(padded_m, shape.k, shape.n - c),
                     BwCondition::Contended,
                 );
                 let t = npu.max(gpu) + rendezvous;
@@ -216,7 +222,7 @@ impl<P: CostProvider> Solver<P> {
                         gpu_cols: c,
                     }
                 };
-                consider(plan, t);
+                best.consider(plan, t);
             }
         }
 
@@ -238,7 +244,7 @@ impl<P: CostProvider> Solver<P> {
                     .iter()
                     .map(|&c| self.npu_cost(MatmulShape { m: c, ..shape }, BwCondition::Solo))
                     .sum();
-                consider(
+                best.consider(
                     PartitionPlan::SeqCut {
                         npu_chunks: cand.npu_chunks.clone(),
                         gpu_rows: 0,
@@ -260,7 +266,7 @@ impl<P: CostProvider> Solver<P> {
                 BwCondition::Contended,
             );
             let t = npu.max(gpu) + rendezvous;
-            consider(
+            best.consider(
                 PartitionPlan::SeqCut {
                     npu_chunks: cand.npu_chunks.clone(),
                     gpu_rows: cand.margin,
@@ -270,14 +276,14 @@ impl<P: CostProvider> Solver<P> {
         }
 
         // A parallel plan must clear the minimum-gain bar (§4.3).
-        let mut choice = match best_parallel {
+        let mut choice = match best.parallel {
             Some(p)
                 if p.est_time.as_secs_f64()
-                    < best_serial.est_time.as_secs_f64() * (1.0 - self.cfg.min_parallel_gain) =>
+                    < best.serial.est_time.as_secs_f64() * (1.0 - self.cfg.min_parallel_gain) =>
             {
                 p
             }
-            _ => best_serial,
+            _ => best.serial,
         };
         // Canonicalize degenerate forms (SeqCut with an empty GPU share
         // is an NpuPipe, etc.) so downstream sync accounting is honest.
@@ -309,6 +315,25 @@ impl<P: CostProvider> Solver<P> {
             plan.is_normalized(),
             "solver produced non-canonical plan {plan:?}"
         );
+    }
+}
+
+/// The cheapest serial and parallel candidates seen so far; of equal
+/// costs the first one considered is kept.
+struct Best {
+    serial: PlanChoice,
+    parallel: Option<PlanChoice>,
+}
+
+impl Best {
+    fn consider(&mut self, plan: PartitionPlan, t: SimTime) {
+        if plan.is_parallel() {
+            if self.parallel.as_ref().is_none_or(|b| t < b.est_time) {
+                self.parallel = Some(PlanChoice { plan, est_time: t });
+            }
+        } else if t < self.serial.est_time {
+            self.serial = PlanChoice { plan, est_time: t };
+        }
     }
 }
 

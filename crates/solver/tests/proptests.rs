@@ -1,10 +1,14 @@
 //! Property-based tests of the partition solver.
 
+use std::sync::OnceLock;
+
 use hetero_profiler::db::BwCondition;
-use hetero_profiler::{CostProvider, RealExecProvider};
+use hetero_profiler::measure::profile_matmuls;
+use hetero_profiler::{CostProvider, PredictedProvider, RealExecProvider};
+use hetero_soc::specs::{project_config, table1};
 use hetero_soc::sync::Dominance;
-use hetero_soc::{Backend, SimTime, SocConfig};
-use hetero_solver::{PartitionPlan, Solver, SolverConfig};
+use hetero_soc::{Backend, SimTime, Soc, SocConfig};
+use hetero_solver::{DeratedProvider, PartitionPlan, Solver, SolverConfig};
 use hetero_tensor::shape::MatmulShape;
 use hetero_tensor::DType;
 use proptest::prelude::*;
@@ -14,6 +18,48 @@ fn solver() -> Solver<RealExecProvider> {
         RealExecProvider::new(SocConfig::snapdragon_8gen3()),
         SolverConfig::default(),
     )
+}
+
+/// The projectable Table-1 SoCs with every memory bandwidth cap scaled
+/// by 0.97, 1.00 and 1.03 (the fleet's silicon-lottery range).
+fn soc_configs() -> Vec<SocConfig> {
+    let mut out = Vec::new();
+    for class in table1().iter().filter_map(project_config) {
+        for factor in [0.97, 1.0, 1.03] {
+            let mut cfg = class.clone();
+            cfg.mem.soc_peak_gbps *= factor;
+            cfg.mem.cpu_cap_gbps *= factor;
+            cfg.mem.gpu_cap_gbps *= factor;
+            cfg.mem.npu_cap_gbps *= factor;
+            out.push(cfg);
+        }
+    }
+    out
+}
+
+/// One prediction-mode provider per [`soc_configs`] entry. Its NPU
+/// tree is trained on a small grid: only its GPU side is under test.
+fn predicted_providers() -> &'static [PredictedProvider] {
+    static PROVIDERS: OnceLock<Vec<PredictedProvider>> = OnceLock::new();
+    PROVIDERS.get_or_init(|| {
+        let grid: Vec<MatmulShape> = [1, 64, 256]
+            .into_iter()
+            .flat_map(|m| [1024, 2048, 4096].map(|n| MatmulShape::new(n, 2048, m)))
+            .collect();
+        soc_configs()
+            .into_iter()
+            .map(|cfg| {
+                let db = profile_matmuls(
+                    &Soc::new(cfg.clone()),
+                    &grid,
+                    &[Backend::Npu],
+                    DType::Int4,
+                    DType::F16,
+                );
+                PredictedProvider::train(&db, cfg).expect("grid has NPU rows")
+            })
+            .collect()
+    })
 }
 
 fn arb_shape() -> impl Strategy<Value = MatmulShape> {
@@ -125,5 +171,38 @@ proptest! {
         let a = solver().solve(shape, Dominance::NpuDominant);
         let b = solver().solve(shape, Dominance::NpuDominant);
         prop_assert_eq!(a, b);
+    }
+
+    /// The `CostProvider` contract the solver's row-cut scan stops
+    /// early on: GPU cost never falls as `n` grows, for every provider.
+    #[test]
+    fn gpu_cost_is_nondecreasing_in_n(
+        soc in 0usize..9,
+        m in 1usize..2200,
+        k in prop_oneof![Just(2048usize), Just(3072), Just(4096), Just(14336)],
+        n in 1usize..130_000,
+        dn in 1usize..4096,
+        weight in prop_oneof![Just(DType::Int4), Just(DType::Int8), Just(DType::F16)],
+        contended in proptest::bool::ANY,
+        derate_ppm in 1_000_000u64..3_000_000,
+    ) {
+        let cfg = soc_configs().swap_remove(soc);
+        let condition = if contended { BwCondition::Contended } else { BwCondition::Solo };
+        let real = RealExecProvider::new(cfg);
+        let derated = DeratedProvider::new(real.clone(), derate_ppm);
+        let predicted = &predicted_providers()[soc];
+        let providers: [&dyn CostProvider; 3] = [&real, predicted, &derated];
+        for provider in providers {
+            let cost = |n| {
+                provider.matmul_cost(
+                    Backend::Gpu,
+                    MatmulShape::new(m, k, n),
+                    DType::F16,
+                    weight,
+                    condition,
+                )
+            };
+            prop_assert!(cost(n) <= cost(n + dn), "n {} -> {}", n, n + dn);
+        }
     }
 }

@@ -23,7 +23,7 @@ unset CARGO_TARGET_DIR
 
 # Serial calibration sessions/s on a 2-vCPU x86-64 VM (2.1 GHz): the
 # median of 7 runs of part 1.
-BASELINE=2582
+BASELINE=10253
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
